@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DivergedError
 from .geometry import Geometry
+from .sinkhorn import _as_weights
 
 logger = logging.getLogger(__name__)
 
@@ -50,19 +51,8 @@ class BarycenterProblem:
         sums = hists.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-8):
             raise ValueError("each histogram must sum to 1")
-        k = hists.shape[0]
-        if self.weights is None:
-            weights = np.full(k, 1.0 / k)
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (k,):
-                raise ValueError(f"weights must have shape ({k},), got {weights.shape}")
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ValueError("weights must be entrywise finite and nonnegative")
-            if abs(weights.sum() - 1.0) > 1e-8:
-                raise ValueError("weights must sum to 1")
         object.__setattr__(self, "histograms", hists)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _as_weights(self.weights, hists.shape[0], "weights"))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -105,24 +95,23 @@ def solve_barycenter(
         log_hists = np.log(bp.histograms)
     zeros = np.zeros(n)
     g = np.zeros((k, n))
-    f = np.zeros((k, n))
     back = np.zeros((k, n))  # eps * log(K^T u_k) per histogram
     converged = False
     log_p = np.full(n, -np.log(n))
     t = 0
     for t in range(1, max_iters + 1):
         for i in range(k):
-            f[i] = eps * log_hists[i] - geom.apply_lse_kernel(zeros, g[i], eps, axis="rows")
-            back[i] = geom.apply_lse_kernel(f[i], zeros, eps, axis="cols")
+            f = eps * log_hists[i] - geom.apply_lse_kernel(zeros, g[i], eps, axis="rows")
+            back[i] = geom.apply_lse_kernel(f, zeros, eps, axis="cols")
         log_p = (bp.weights @ back) / eps
         if np.isnan(log_p).any():
             raise DivergedError("NaN in barycenter iterations; eps is likely too small", iteration=t)
         p = np.exp(log_p)
         err = 0.0
         for i in range(k):
-            marginal = np.exp(geom.apply_lse_kernel(f[i], g[i], eps, axis="cols") / eps)
+            # Marginal of coupling i before its g update: g + the "cols" kernel of (f, 0).
+            marginal = np.exp((g[i] + back[i]) / eps)
             err = max(err, float(np.abs(marginal - p).sum()))
-        for i in range(k):
             g[i] = eps * log_p - back[i]
         if err <= threshold:
             converged = True

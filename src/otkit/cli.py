@@ -140,7 +140,6 @@ def _cmd_lin(args) -> int:
         if eps is not None:
             logger.warning("the low-rank solver has no entropic eps; ignoring --eps/--eps-rel")
         out = solve_lr_sinkhorn(prob, args.rank, seed=args.seed, **opts)
-        coupling = lr_coupling(out.factors).matrix
         payload = {
             "command": "lin",
             "solver": "lr",
@@ -154,7 +153,6 @@ def _cmd_lin(args) -> int:
     else:
         out = solve_sinkhorn(prob, eps, **opts)
         costs = reg_ot_cost(out, prob)
-        coupling = transport_matrix(out, prob).matrix
         payload = {
             "command": "lin",
             "solver": "sinkhorn",
@@ -167,7 +165,9 @@ def _cmd_lin(args) -> int:
     if args.verify:
         payload["verify"] = _verify_lin(geom, prob, payload["transport_cost"])
     if args.coupling_out:
-        write_matrix_atomic(args.coupling_out, coupling)
+        # Only this flag needs the dense coupling; above the cap it exits 1.
+        coupling = lr_coupling(out.factors) if args.solver == "lr" else transport_matrix(out, prob)
+        write_matrix_atomic(args.coupling_out, coupling.matrix)
     _emit(args, payload)
     return 0 if payload["converged"] else 2
 

@@ -6,7 +6,12 @@ Solvers interact with costs exclusively through three operations:
 materialize the matrix (``cost_matrix``), apply the Gibbs kernel
 exp(-C/eps) to a vector (``apply_kernel``), or do the same contraction
 in the log domain (``apply_lse_kernel``), which is what the
-log-stabilized solvers use throughout.
+log-stabilized solvers use throughout. Couplings are formed only in row
+blocks (``Geometry._plan_blocks``): ``reg_ot_cost``, ``grad_points`` and
+``otkit lin`` without ``--coupling-out`` stream them, while
+``transport_matrix`` (``--coupling-out``), the low-rank solver and
+Gromov-Wasserstein materialize n x m matrices and refuse above
+``DEFAULT_DENSE_CAP`` entries.
 
 Backends:
 
@@ -22,7 +27,6 @@ Backends:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Geometry",
@@ -46,6 +50,14 @@ DEFAULT_BLOCK_SIZE = 256
 DEFAULT_DENSE_CAP = 4_000_000
 
 COST_FNS = ("sqeucl", "eucl", "cosine")
+
+
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along ``axis`` with max subtraction; tolerates -inf slices."""
+    hi = np.max(x, axis=axis, keepdims=True)
+    hi = np.where(np.isfinite(hi), hi, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(x - hi), axis=axis)) + np.squeeze(hi, axis=axis)
 
 
 def _check_axis(axis: str) -> None:
@@ -151,6 +163,21 @@ class Geometry:
         """
         raise NotImplementedError
 
+    def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
+        """Yields ``(start, stop, cost_rows, plan_rows)`` of the coupling
+        exp((f + g - C)/eps) over row blocks of ``block_size`` rows
+        (``DEFAULT_BLOCK_SIZE`` on backends without that attribute), with
+        cost rows from the backend's ``_cost_rows(start, stop)``.
+        """
+        n, m = self.shape
+        f = _check_potential(f, n, "f")
+        g = _check_potential(g, m, "g")
+        step = getattr(self, "block_size", DEFAULT_BLOCK_SIZE)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            cost = self._cost_rows(start, stop)
+            yield start, stop, cost, np.exp((f[start:stop, None] + g[None, :] - cost) / eps)
+
     def _resolve_eps(self, eps: float | None) -> float:
         if eps is None:
             return self.epsilon_default
@@ -190,16 +217,16 @@ class DenseGeometry(Geometry):
         self._check_cap(max_entries)
         return self._cost
 
+    def _cost_rows(self, start: int, stop: int) -> np.ndarray:
+        return self._cost[start:stop]
+
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        n, m = self.shape
         kernel = np.exp(-self._cost / eps)
-        if axis == "rows":
-            v = _check_vector(v, m, "v")
-            return kernel @ v
-        v = _check_vector(v, n, "v")
-        return kernel.T @ v
+        if axis == "cols":
+            kernel = kernel.T
+        return kernel @ _check_vector(v, kernel.shape[1], "v")
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -208,7 +235,7 @@ class DenseGeometry(Geometry):
         f = _check_potential(f, n, "f")
         g = _check_potential(g, m, "g")
         z = (f[:, None] + g[None, :] - self._cost) / eps
-        return eps * logsumexp(z, axis=1 if axis == "rows" else 0)
+        return eps * _lse(z, axis=1 if axis == "rows" else 0)
 
 
 class PointCloudGeometry(Geometry):
@@ -275,26 +302,19 @@ class PointCloudGeometry(Geometry):
             return np.sqrt(sq)
         return sq
 
-    def _cost_rows(self, start: int, stop: int) -> np.ndarray:
-        """Cost rows [start, stop) against all of y."""
-        block = self._cost_block(self.x[start:stop], self.y)
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
+        """Cost rows [start, stop) of C, or of C^T when ``transpose``."""
+        xs, ys = (self.y, self.x) if transpose else (self.x, self.y)
+        block = self._cost_block(xs[start:stop], ys)
         if self._same_points:
-            idx = np.arange(start, min(stop, self.shape[1]))
+            idx = np.arange(start, min(stop, ys.shape[0]))
             block[idx - start, idx] = 0.0
-        return block
-
-    def _cost_cols(self, start: int, stop: int) -> np.ndarray:
-        """Cost columns [start, stop) against all of x."""
-        block = self._cost_block(self.x, self.y[start:stop])
-        if self._same_points:
-            idx = np.arange(start, min(stop, self.shape[0]))
-            block[idx, idx - start] = 0.0
         return block
 
     def mean_cost(self) -> float:
         n, m = self.shape
         if n * m <= _MEAN_COST_SAMPLES:
-            return float(self.cost_matrix(max_entries=n * m).mean())
+            return float(self._cost_rows(0, n).mean())
         rng = np.random.default_rng(0)
         i = rng.integers(0, n, size=_MEAN_COST_SAMPLES)
         j = rng.integers(0, m, size=_MEAN_COST_SAMPLES)
@@ -318,19 +338,13 @@ class PointCloudGeometry(Geometry):
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        n, m = self.shape
-        if axis == "rows":
-            v = _check_vector(v, m, "v")
-            out = np.empty(n)
-            for start in range(0, n, self.block_size):
-                stop = min(start + self.block_size, n)
-                out[start:stop] = np.exp(-self._cost_rows(start, stop) / eps) @ v
-            return out
-        v = _check_vector(v, n, "v")
-        out = np.empty(m)
-        for start in range(0, m, self.block_size):
-            stop = min(start + self.block_size, m)
-            out[start:stop] = v @ np.exp(-self._cost_cols(start, stop) / eps)
+        # The "cols" contraction is the "rows" one over (y, x).
+        n, m = self.shape if axis == "rows" else self.shape[::-1]
+        v = _check_vector(v, m, "v")
+        out = np.empty(n)
+        for start in range(0, n, self.block_size):
+            stop = min(start + self.block_size, n)
+            out[start:stop] = np.exp(-self._cost_rows(start, stop, axis == "cols") / eps) @ v
         return out
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
@@ -339,18 +353,13 @@ class PointCloudGeometry(Geometry):
         n, m = self.shape
         f = _check_potential(f, n, "f")
         g = _check_potential(g, m, "g")
-        if axis == "rows":
-            out = np.empty(n)
-            for start in range(0, n, self.block_size):
-                stop = min(start + self.block_size, n)
-                z = (f[start:stop, None] + g[None, :] - self._cost_rows(start, stop)) / eps
-                out[start:stop] = eps * logsumexp(z, axis=1)
-            return out
-        out = np.empty(m)
-        for start in range(0, m, self.block_size):
-            stop = min(start + self.block_size, m)
-            z = (f[:, None] + g[None, start:stop] - self._cost_cols(start, stop)) / eps
-            out[start:stop] = eps * logsumexp(z, axis=0)
+        outer, inner = (f, g) if axis == "rows" else (g, f)
+        out = np.empty(outer.size)
+        for start in range(0, outer.size, self.block_size):
+            stop = min(start + self.block_size, outer.size)
+            cost = self._cost_rows(start, stop, axis == "cols")
+            z = (outer[start:stop, None] + inner[None, :] - cost) / eps
+            out[start:stop] = eps * _lse(z, axis=1)
         return out
 
 
@@ -401,22 +410,26 @@ class GridGeometry(Geometry):
     def mean_cost(self) -> float:
         total = self.shape[0]
         if total * total <= _MEAN_COST_SAMPLES:
-            return float(self.cost_matrix(max_entries=total * total).mean())
+            return float(self._cost_rows(0, total).mean())
         # The mean of a separable cost is the sum of per-axis means; no
         # sampling needed even when the full matrix is out of reach.
         return float(sum(c.mean() for c in self.cost_matrices))
 
     def cost_matrix(self, max_entries: int | None = None) -> np.ndarray:
         self._check_cap(max_entries)
-        d = len(self.axes)
-        full = np.zeros(self.grid_shape + self.grid_shape)
-        for k, c in enumerate(self.cost_matrices):
-            shape = [1] * (2 * d)
-            shape[k] = c.shape[0]
-            shape[d + k] = c.shape[1]
-            full = full + c.reshape(shape)
-        total = self.shape[0]
-        return full.reshape(total, total)
+        return self._cost_rows(0, self.shape[0])
+
+    def _cost_rows(self, start: int, stop: int) -> np.ndarray:
+        # Row i of C is the sum over axes k of row i_k of cost matrix k,
+        # broadcast along grid axis k; (i_k) is the multi-index of i.
+        rows = stop - start
+        block = np.zeros((rows,) + self.grid_shape)
+        coords = np.unravel_index(np.arange(start, stop), self.grid_shape)
+        for k, (c, i) in enumerate(zip(self.cost_matrices, coords)):
+            shape = [1] * len(self.grid_shape)
+            shape[k] = c.shape[1]
+            block += c[i].reshape(rows, *shape)
+        return block.reshape(rows, -1)
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
@@ -441,6 +454,6 @@ class GridGeometry(Geometry):
         for k, c in enumerate(self.cost_matrices):
             log_kernel = -(c if axis == "rows" else c.T) / eps
             moved = np.moveaxis(t, k, -1)
-            contracted = logsumexp(moved[..., None, :] + log_kernel, axis=-1)
+            contracted = _lse(moved[..., None, :] + log_kernel, axis=-1)
             t = np.moveaxis(contracted, -1, k)
         return outer + eps * t.reshape(-1)

@@ -15,7 +15,8 @@ import logging
 import numpy as np
 
 from .errors import DivergedError
-from .sinkhorn import Coupling, LinearProblem, _sinkhorn_iterations
+from .geometry import _lse
+from .sinkhorn import Coupling, LinearProblem, _sinkhorn_iterations, transport_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +44,6 @@ _GUIDE_THRESHOLD = 1e-4
 _GUIDE_MAX_ITERS = 2000
 _INIT_JITTER = 0.05
 _INIT_DIAG_BLEND = 0.2
-
-
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """logsumexp without scipy call overhead; tolerates -inf slices."""
-    hi = np.max(x, axis=axis, keepdims=True)
-    hi = np.where(np.isfinite(hi), hi, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - hi), axis=axis)) + np.squeeze(hi, axis=axis)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -168,7 +161,7 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
         except DivergedError:
             sk = None
         if sk is not None:
-            plan = np.exp((sk.f[:, None] + sk.g[None, :] - cost) / sk.eps)
+            plan = transport_matrix(sk, prob).matrix
             if np.all(np.isfinite(plan)):
                 guide = plan
     if guide is not None:

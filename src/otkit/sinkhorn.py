@@ -2,8 +2,9 @@
 
 Solves ``min_{P in U(a,b)} <C, P> + eps <P, log P - 1>`` by alternating
 exact maximization of the dual over the potentials (f, g). All updates
-run in the log domain so very small eps stays usable; the coupling
-``P = exp((f + g - C)/eps)`` is only materialized on demand.
+run in the log domain so very small eps stays usable; the coupling is
+only materialized on demand (``transport_matrix``), while the cost and
+gradient reductions stream it in row blocks.
 """
 
 from __future__ import annotations
@@ -201,19 +202,25 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
 
 
 def transport_matrix(out: SinkhornOutput, prob: LinearProblem) -> Coupling:
-    """Materializes the coupling exp((f + g - C)/eps) from the potentials."""
-    cost = prob.geom.cost_matrix()
-    log_plan = (out.f[:, None] + out.g[None, :] - cost) / out.eps
-    return Coupling(np.exp(log_plan))
+    """Materializes the coupling; refuses above ``DEFAULT_DENSE_CAP`` entries."""
+    geom = prob.geom
+    geom._check_cap(None)
+    plan = np.empty(geom.shape)
+    for start, stop, _, rows in geom._plan_blocks(out.f, out.g, out.eps):
+        plan[start:stop] = rows
+    return Coupling(plan)
 
 
 def reg_ot_cost(out: SinkhornOutput, prob: LinearProblem) -> RegOTCost:
-    """Primal transport cost <C, P> and dual objective of a solution."""
-    cost = prob.geom.cost_matrix()
-    plan = np.exp((out.f[:, None] + out.g[None, :] - cost) / out.eps)
-    transport = float((cost * plan).sum())
-    dual = _dual_objective(out.f, out.g, prob.a, prob.b, out.eps, plan.sum())
-    return RegOTCost(transport, dual)
+    """Primal transport cost <C, P> and dual objective, streamed in row blocks."""
+    n = prob.geom.shape[0]
+    row_cost = np.empty(n)
+    row_mass = np.empty(n)
+    for start, stop, cost, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
+        row_cost[start:stop] = (cost * plan).sum(axis=1)
+        row_mass[start:stop] = plan.sum(axis=1)
+    dual = _dual_objective(out.f, out.g, prob.a, prob.b, out.eps, row_mass.sum())
+    return RegOTCost(float(row_cost.sum()), dual)
 
 
 def grad_weights(out: SinkhornOutput, prob: LinearProblem) -> np.ndarray:
@@ -241,6 +248,7 @@ def grad_points(out: SinkhornOutput, prob: LinearProblem) -> np.ndarray:
     geom = prob.geom
     if not isinstance(geom, PointCloudGeometry) or geom.cost_fn != "sqeucl":
         raise ValueError("grad_points requires a PointCloudGeometry with the sqeucl cost")
-    plan = transport_matrix(out, prob).matrix
-    row_mass = plan.sum(axis=1)
-    return 2.0 * (row_mass[:, None] * geom.x - plan @ geom.y)
+    grad = np.empty_like(geom.x)
+    for start, stop, _, plan in geom._plan_blocks(out.f, out.g, out.eps):
+        grad[start:stop] = 2.0 * (plan.sum(axis=1)[:, None] * geom.x[start:stop] - plan @ geom.y)
+    return grad

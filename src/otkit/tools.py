@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DenseGeometry, PointCloudGeometry
-from .sinkhorn import LinearProblem, solve_sinkhorn, transport_matrix
+from .sinkhorn import LinearProblem, _as_weights, solve_sinkhorn, transport_matrix
 
 __all__ = [
     "SoftSortSpec",
@@ -173,14 +173,9 @@ class GaussianMixture:
         dims = {c.dim for c in comps}
         if len(dims) != 1:
             raise ValueError(f"components disagree on dimension: {sorted(dims)}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(comps),):
-            raise ValueError(f"weights must have shape ({len(comps)},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be entrywise finite and nonnegative")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        if self.weights is None:
+            raise ValueError("mixture weights are required")
+        object.__setattr__(self, "weights", _as_weights(self.weights, len(comps), "weights"))
         object.__setattr__(self, "components", comps)
 
     @property

@@ -1,6 +1,9 @@
 """CLI contract: library round-trips, exit codes, file artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +17,7 @@ from otkit import (
     QuadraticProblem,
     SoftSortSpec,
     gmm_distance,
+    grad_points,
     lr_coupling,
     reg_ot_cost,
     solve_barycenter,
@@ -173,6 +177,32 @@ def test_lin_rejects_weights_off_the_simplex(tmp_path, capsys, two_point_files):
     code, _, err = run(capsys, ["lin", "--x", x, "--y", y, "--a", a])
     assert code == 1
     assert "sums to" in err
+
+
+def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(7)
+    x = write_csv(tmp_path / "x.csv", rng.random((10, 2)))
+    y = write_csv(tmp_path / "y.csv", rng.random((10, 2)))
+    argv = ["lin", "--x", x, "--y", y, "--eps-rel", "0.1"]
+    _, reference, _ = run(capsys, argv)
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 50)  # below 10 x 10
+    code, payload, _ = run(capsys, argv)
+    assert code == 0
+    for key in ("transport_cost", "dual_objective"):
+        assert payload[key] == pytest.approx(reference[key], rel=1e-12, abs=0)
+    # Only the dense coupling is refused: exit 1, and nothing is written.
+    coupling_path = tmp_path / "coupling.csv"
+    code, payload, err = run(capsys, argv + ["--coupling-out", str(coupling_path)])
+    assert code == 1 and payload is None
+    assert "exceeds the materialization cap" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]
+    geom = PointCloudGeometry(read_matrix(x), read_matrix(y))
+    prob = LinearProblem(geom)
+    out = solve_sinkhorn(prob, 0.1 * geom.mean_cost())
+    assert reg_ot_cost(out, prob).transport_cost == pytest.approx(reference["transport_cost"], rel=1e-12)
+    assert np.all(np.isfinite(grad_points(out, prob)))
+    with pytest.raises(ValueError, match="materialization cap"):
+        transport_matrix(out, prob)
 
 
 # ---- quad ----
@@ -491,3 +521,18 @@ def test_csv_comments_and_vector_shapes_are_accepted(tmp_path, capsys):
     )
     assert code == 0
     assert abs(payload["transport_cost"] - 0.625) <= 1e-2
+
+
+def test_importing_otkit_loads_no_scipy():
+    import otkit
+
+    src = os.path.dirname(os.path.dirname(otkit.__file__))
+    code = "import sys, otkit, otkit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

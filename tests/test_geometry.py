@@ -12,7 +12,12 @@ from otkit import (
     DenseGeometry,
     EpsilonSchedule,
     GridGeometry,
+    LinearProblem,
     PointCloudGeometry,
+    grad_points,
+    reg_ot_cost,
+    solve_sinkhorn,
+    transport_matrix,
 )
 
 
@@ -40,6 +45,26 @@ def test_grid_cost_matches_enumerated_pointcloud():
     pts = enumerate_grid(axes)
     cloud = PointCloudGeometry(pts, pts)
     npt.assert_allclose(grid.cost_matrix(), cloud.cost_matrix(), rtol=0, atol=1e-14)
+
+
+def test_grid_cost_rows_follow_the_row_major_index_order():
+    # Asymmetric per-axis costs, and more rows than one plan block, so a
+    # swapped axis, transposed factor or block offset changes some entry.
+    rng = np.random.default_rng(5)
+    axes = [np.arange(4.0), np.arange(8.0), np.arange(9.0)]
+    c0, c1, c2 = (rng.random((ax.size, ax.size)) for ax in axes)
+    grid = GridGeometry(axes, [c0, c1, c2])
+    expected = (
+        c0[:, None, None, :, None, None]
+        + c1[None, :, None, None, :, None]
+        + c2[None, None, :, None, None, :]
+    ).reshape(288, 288)
+    npt.assert_array_equal(grid.cost_matrix(), expected)
+    dense_prob = LinearProblem(DenseGeometry(expected))
+    out = solve_sinkhorn(dense_prob, 0.5, max_iters=3)
+    npt.assert_array_equal(
+        transport_matrix(out, LinearProblem(grid)).matrix, transport_matrix(out, dense_prob).matrix
+    )
 
 
 def test_self_cost_is_symmetric_with_zero_diagonal():
@@ -82,21 +107,32 @@ def test_block_size_does_not_change_results():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 2))
     y = rng.standard_normal((30, 2))
-    small = PointCloudGeometry(x, y, block_size=1)
     large = PointCloudGeometry(x, y, block_size=256)
     v = rng.random(30)
     u = rng.random(40)
     f = rng.standard_normal(40)
     g = rng.standard_normal(30)
-    for axis, vec in (("rows", v), ("cols", u)):
-        npt.assert_allclose(
-            small.apply_kernel(vec, 0.7, axis), large.apply_kernel(vec, 0.7, axis), atol=1e-12
-        )
-        npt.assert_allclose(
-            small.apply_lse_kernel(f, g, 0.7, axis),
-            large.apply_lse_kernel(f, g, 0.7, axis),
-            atol=1e-12,
-        )
+    out = solve_sinkhorn(LinearProblem(large), 0.7)
+    assert out.converged
+    # Plan reductions against the whole-matrix dense backend.
+    dense_prob = LinearProblem(DenseGeometry(large.cost_matrix()))
+    dense_plan = transport_matrix(out, dense_prob).matrix
+    dense_grad = 2.0 * (dense_plan.sum(axis=1)[:, None] * x - dense_plan @ y)
+    for block_size in (1, 7, 256):
+        geom = PointCloudGeometry(x, y, block_size=block_size)
+        for axis, vec in (("rows", v), ("cols", u)):
+            npt.assert_allclose(
+                geom.apply_kernel(vec, 0.7, axis), large.apply_kernel(vec, 0.7, axis), atol=1e-12
+            )
+            npt.assert_allclose(
+                geom.apply_lse_kernel(f, g, 0.7, axis),
+                large.apply_lse_kernel(f, g, 0.7, axis),
+                atol=1e-12,
+            )
+        prob = LinearProblem(geom)
+        npt.assert_allclose(reg_ot_cost(out, prob), reg_ot_cost(out, dense_prob), rtol=0, atol=1e-12)
+        npt.assert_allclose(grad_points(out, prob), dense_grad, rtol=0, atol=1e-12)
+        npt.assert_allclose(transport_matrix(out, prob).matrix, dense_plan, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -241,6 +241,16 @@ def test_zero_weight_column_empties_the_plan_column():
     npt.assert_allclose(plan[:, 0], prob.a, atol=1e-3)
 
 
+def test_plan_reductions_refuse_potentials_of_another_problem():
+    # Streamed row blocks would otherwise read only the first n of a longer f.
+    prob, _ = two_point_problem()
+    out = solve_sinkhorn(prob, 1.0)
+    other = LinearProblem(PointCloudGeometry(np.array([[0.0]]), np.array([[0.5], [2.0]])))
+    for reduce in (transport_matrix, reg_ot_cost, grad_points):
+        with pytest.raises(ValueError, match="shape"):
+            reduce(out, other)
+
+
 def test_denormal_eps_diverges_with_iteration_index():
     cost = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 3.0]])
     prob = LinearProblem(DenseGeometry(cost), None, np.array([0.5, 0.5, 0.0]))

@@ -244,6 +244,8 @@ def test_mixture_validation():
     with pytest.raises(ValueError):
         GaussianMixture(np.array([0.5, 0.6]), (g1, g1))
     with pytest.raises(ValueError):
+        GaussianMixture(None, (g1,))
+    with pytest.raises(ValueError):
         GaussianMixture(np.array([1.0]), ())
     with pytest.raises(ValueError):
         GaussianMixture(np.array([1.0]), (g1, g1))
