@@ -127,6 +127,10 @@ def _cmd_lin(args) -> int:
         geom = DenseGeometry(read_matrix(args.cost_matrix))
     else:
         geom = PointCloudGeometry(read_matrix(args.x), read_matrix(args.y), args.cost)
+    if args.coupling_out:
+        # Only this flag needs the dense coupling; above the cap, refuse
+        # (exit 1) before solving.
+        geom._check_cap(None)
     n, m = geom.shape
     a = _as_cli_weights(read_vector(args.a), n, "a") if args.a else None
     b = _as_cli_weights(read_vector(args.b), m, "b") if args.b else None
@@ -165,7 +169,6 @@ def _cmd_lin(args) -> int:
     if args.verify:
         payload["verify"] = _verify_lin(geom, prob, payload["transport_cost"])
     if args.coupling_out:
-        # Only this flag needs the dense coupling; above the cap it exits 1.
         coupling = lr_coupling(out.factors) if args.solver == "lr" else transport_matrix(out, prob)
         write_matrix_atomic(args.coupling_out, coupling.matrix)
     _emit(args, payload)

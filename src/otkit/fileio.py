@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -63,12 +64,12 @@ def read_gmm(path: str) -> GaussianMixture:
     return GaussianMixture(np.asarray(raw["weights"], dtype=float), components)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
@@ -76,14 +77,16 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    _write_atomic(path, text)
+    _write_atomic(path, [text])
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def write_matrix_atomic(path: str, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix))
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    # 17 significant digits read back bitwise for every float64. Rows are
+    # formatted and written one at a time, so the text never exists whole.
+    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    _write_atomic(path, (row_format % tuple(row.tolist()) for row in matrix))

@@ -5,8 +5,10 @@ locations without necessarily storing the full n-by-m cost matrix.
 Solvers interact with costs exclusively through three operations:
 materialize the matrix (``cost_matrix``), apply the Gibbs kernel
 exp(-C/eps) to a vector (``apply_kernel``), or do the same contraction
-in the log domain (``apply_lse_kernel``), which is what the
-log-stabilized solvers use throughout. Couplings are formed only in row
+in the log domain (``apply_lse_kernel``). Under ``DEFAULT_DENSE_CAP``
+entries Sinkhorn multiplies by one n x m kernel instead
+(``Geometry._kernel_matrix``); above it, and for eps small against the
+cost range, it runs in the log domain. Couplings are formed only in row
 blocks (``Geometry._plan_blocks``): ``reg_ot_cost``, ``grad_points`` and
 ``otkit lin`` without ``--coupling-out`` stream them, while
 ``transport_matrix`` (``--coupling-out``), the low-rank solver and
@@ -48,6 +50,9 @@ _MEAN_COST_SAMPLES = 1000
 DEFAULT_BLOCK_SIZE = 256
 # Refuse to materialize cost matrices larger than this many entries.
 DEFAULT_DENSE_CAP = 4_000_000
+# Largest max|C|/eps for which a Gibbs kernel is built: its entries, and
+# scalings of the inverse size, then stay in float64's normal range.
+_KERNEL_EXPONENT_LIMIT = 0.5 * np.log(np.finfo(float).max)
 
 COST_FNS = ("sqeucl", "eucl", "cosine")
 
@@ -176,7 +181,29 @@ class Geometry:
         for start in range(0, n, step):
             stop = min(start + step, n)
             cost = self._cost_rows(start, stop)
-            yield start, stop, cost, np.exp((f[start:stop, None] + g[None, :] - cost) / eps)
+            plan = f[start:stop, None] + g[None, :] - cost
+            plan /= eps
+            yield start, stop, cost, np.exp(plan, out=plan)
+
+    def _kernel_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray | None:
+        """The Gibbs kernel exp(-C/eps) as an n x m matrix, filled row block
+        by row block into ``out`` when given (so a new eps refills it).
+
+        Returns None when n*m exceeds ``DEFAULT_DENSE_CAP`` or max|C|/eps
+        exceeds ``_KERNEL_EXPONENT_LIMIT``; the solvers then stay in the
+        log domain.
+        """
+        n, m = self.shape
+        if n * m > DEFAULT_DENSE_CAP:
+            return None
+        kernel = np.empty((n, m)) if out is None else out
+        limit = _KERNEL_EXPONENT_LIMIT * eps
+        with np.errstate(over="ignore"):
+            for start, stop, cost, rows in self._plan_blocks(np.zeros(n), np.zeros(m), eps):
+                if max(cost.max(), -cost.min()) > limit:
+                    return None
+                kernel[start:stop] = rows
+        return kernel
 
     def _resolve_eps(self, eps: float | None) -> float:
         if eps is None:

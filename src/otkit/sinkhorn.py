@@ -1,10 +1,14 @@
-"""Log-domain Sinkhorn solver for entropic optimal transport.
+"""Sinkhorn solver for entropic optimal transport.
 
 Solves ``min_{P in U(a,b)} <C, P> + eps <P, log P - 1>`` by alternating
-exact maximization of the dual over the potentials (f, g). All updates
-run in the log domain so very small eps stays usable; the coupling is
-only materialized on demand (``transport_matrix``), while the cost and
-gradient reductions stream it in row blocks.
+exact maximization of the dual over the potentials (f, g). Under
+``DEFAULT_DENSE_CAP`` entries the updates are kernel scalings
+u = a / (K v), v = b / (K^T u) with one cached kernel K = exp(-C/eps);
+above the cap, when eps is small against the cost range, or once a
+scaling under- or overflows, they run in the log domain, which keeps
+very small eps usable. The coupling is only materialized on demand
+(``transport_matrix``), while the cost and gradient reductions stream it
+in row blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .errors import DivergedError
 from .geometry import EpsilonSchedule, Geometry, PointCloudGeometry
 
 logger = logging.getLogger(__name__)
+
+# Smallest normal float64: scalings and their denominators below it lose
+# precision, so the sweep hands over to the log domain.
+_TINY = np.finfo(float).tiny
 
 __all__ = [
     "LinearProblem",
@@ -128,7 +136,13 @@ def solve_sinkhorn(
     max_iters: int = 2000,
     inner_iters: int = 10,
 ) -> SinkhornOutput:
-    """Runs log-domain Sinkhorn iterations until the marginals match.
+    """Runs Sinkhorn iterations until the marginals match.
+
+    Under ``DEFAULT_DENSE_CAP`` entries, and while max|C|/eps fits in
+    float64's exponent range, the sweeps multiply scalings by one n x m
+    kernel exp(-C/eps), built once per solve and again whenever the
+    schedule changes eps. Otherwise, and from the first sweep whose
+    scalings leave the normal range, they run in the log domain.
 
     Args:
       prob: the problem to solve.
@@ -143,8 +157,9 @@ def solve_sinkhorn(
       iteration budget ran out first.
 
     Raises:
-      DivergedError: if the potentials turn NaN, which points at an eps
-        too small for the cost scale.
+      DivergedError: if a log-domain potential turns NaN or +inf, or
+        -inf at a positive weight, which points at an eps too small for
+        the cost scale.
     """
     return _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, None)
 
@@ -155,33 +170,38 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
     if not (threshold > 0):
         raise ValueError("threshold must be positive")
     geom = prob.geom
-    n, m = geom.shape
     schedule = _resolve_schedule(geom, eps)
     target = schedule.target
-    with np.errstate(divide="ignore"):
-        log_a = np.log(prob.a)
-        log_b = np.log(prob.b)
-    zeros_n = np.zeros(n)
-    zeros_m = np.zeros(m)
-    f = np.zeros(n)
-    g = zeros_m.copy() if g_init is None else np.asarray(g_init, dtype=float).copy()
+    f = np.zeros(geom.shape[0])
+    g = np.zeros(geom.shape[1]) if g_init is None else np.asarray(g_init, dtype=float).copy()
     errors: list[float] = []
     duals: list[float] = []
     converged = False
+    # The kernel is rebuilt (in place) only when the schedule changes eps;
+    # once it is declined or a scaling fails, the log domain takes over.
+    kernel = None
+    kernel_eps = None
+    scaling = True
     t = 0
     for t in range(1, max_iters + 1):
         e = schedule.at(t - 1)
-        f = e * log_a - geom.apply_lse_kernel(zeros_n, g, e, axis="rows")
-        g = e * log_b - geom.apply_lse_kernel(f, zeros_m, e, axis="cols")
+        if scaling and e != kernel_eps:
+            kernel, kernel_eps = geom._kernel_matrix(e, kernel), e
+            scaling = kernel is not None
+        step = _scaling_sweep(kernel, prob.a, prob.b, g, e) if scaling else None
+        if step is None:
+            if scaling:
+                logger.debug("sinkhorn: scalings left the normal range at iteration %d; continuing in the log domain", t)
+            scaling, kernel = False, None
+            step = _log_sweep(geom, prob.a, prob.b, g, e, t)
+        f, g = step
         if t % inner_iters == 0 or t == max_iters:
-            if np.isnan(f).any() or np.isnan(g).any():
-                raise DivergedError(
-                    "NaN in Sinkhorn potentials; eps is likely too small for the cost scale",
-                    iteration=t,
-                )
             if e > target:
                 continue  # still warming up the schedule; errors not comparable yet
-            row = np.exp(geom.apply_lse_kernel(f, g, e, axis="rows") / e)
+            if kernel is None:
+                row = np.exp(geom.apply_lse_kernel(f, g, e, axis="rows") / e)
+            else:
+                row = np.exp(f / e) * (kernel @ np.exp(g / e))
             err = float(np.abs(row - prob.a).sum())
             errors.append(err)
             duals.append(_dual_objective(f, g, prob.a, prob.b, e, row.sum()))
@@ -199,6 +219,47 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
         converged=converged,
         eps=target,
     )
+
+
+def _scalings(w: np.ndarray, kv: np.ndarray) -> np.ndarray | None:
+    """``w / kv``, or None where that loses precision: a denominator or a
+    scaling below float64's normal range (or non-finite) at a positive
+    weight, or anything but 0 at a zero weight."""
+    s = w / kv
+    ok = np.where(w > 0, (kv >= _TINY) & (s >= _TINY), s == 0.0)
+    return s if ok.all() else None
+
+
+def _scaling_sweep(kernel, a, b, g, e):
+    """One sweep u = a / (K v), v = b / (K^T u) from v = exp(g/eps), as
+    potentials (eps log u, eps log v); None when a scaling fails."""
+    with np.errstate(all="ignore"):
+        u = _scalings(a, kernel @ np.exp(g / e))
+        v = None if u is None else _scalings(b, u @ kernel)
+        if v is None:
+            return None
+        return e * np.log(u), e * np.log(v)
+
+
+def _log_sweep(geom, a, b, g, e, t):
+    """One log-domain sweep; raises DivergedError at sweep ``t`` when a
+    potential is NaN or +inf, or -inf at a positive weight."""
+    n, m = geom.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = e * np.log(a) - geom.apply_lse_kernel(np.zeros(n), g, e, axis="rows")
+        _check_diverged(f, a, t)
+        g = e * np.log(b) - geom.apply_lse_kernel(f, np.zeros(m), e, axis="cols")
+        _check_diverged(g, b, t)
+    return f, g
+
+
+def _check_diverged(p: np.ndarray, w: np.ndarray, t: int) -> None:
+    # Zero weights sit at exactly -inf; every other entry must be finite.
+    if not np.where(w > 0, np.isfinite(p), p == -np.inf).all():
+        raise DivergedError(
+            "non-finite Sinkhorn potentials; eps is likely too small for the cost scale",
+            iteration=t,
+        )
 
 
 def transport_matrix(out: SinkhornOutput, prob: LinearProblem) -> Coupling:

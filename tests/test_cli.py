@@ -28,7 +28,7 @@ from otkit import (
     transport_matrix,
 )
 from otkit.cli import main
-from otkit.fileio import read_gmm, read_matrix, read_vector
+from otkit.fileio import read_gmm, read_matrix, read_vector, write_matrix_atomic
 
 
 def write_csv(path, rows):
@@ -87,6 +87,13 @@ def test_lin_matches_the_library_bitwise(tmp_path, capsys, two_point_files):
     assert payload["iterations"] == out.iterations
     assert payload["eps"] == out.eps
     npt.assert_array_equal(read_matrix(str(coupling_path)), transport_matrix(out, prob).matrix)
+    # The writer behind --coupling-out also round-trips signed zeros,
+    # subnormals and extreme exponents bitwise.
+    edges = np.array([[-0.0, 5e-324, 1e-300], [0.1, 1.0 / 3.0, -1.7976931348623157e308]])
+    write_matrix_atomic(str(coupling_path), edges)
+    back = read_matrix(str(coupling_path))
+    npt.assert_array_equal(back, edges)
+    assert np.signbit(back[0, 0])
 
 
 def test_lin_low_rank_matches_the_library_bitwise(tmp_path, capsys):
@@ -190,11 +197,22 @@ def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monke
     assert code == 0
     for key in ("transport_cost", "dual_objective"):
         assert payload[key] == pytest.approx(reference[key], rel=1e-12, abs=0)
-    # Only the dense coupling is refused: exit 1, and nothing is written.
+    # Only the dense coupling is refused: exit 1 before any solve, and
+    # nothing is written.
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solver called for a refused --coupling-out")
+
+    monkeypatch.setattr("otkit.cli.solve_sinkhorn", no_solve)
+    monkeypatch.setattr("otkit.cli.solve_lr_sinkhorn", no_solve)
     coupling_path = tmp_path / "coupling.csv"
-    code, payload, err = run(capsys, argv + ["--coupling-out", str(coupling_path)])
-    assert code == 1 and payload is None
-    assert "exceeds the materialization cap" in err
+    for solver in (["--solver", "sinkhorn"], ["--solver", "lr", "--rank", "2"]):
+        code, payload, err = run(capsys, argv + solver + ["--coupling-out", str(coupling_path)])
+        assert code == 1 and payload is None
+        assert "exceeds the materialization cap" in err
+    assert solves == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]
     geom = PointCloudGeometry(read_matrix(x), read_matrix(y))
     prob = LinearProblem(geom)

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otkit.geometry
 from otkit import (
     DenseGeometry,
     DivergedError,
     EpsilonSchedule,
+    GridGeometry,
     LinearProblem,
     PointCloudGeometry,
+    QuadraticProblem,
     grad_points,
     grad_weights,
     reg_ot_cost,
+    solve_gw,
     solve_sinkhorn,
     transport_matrix,
 )
@@ -282,3 +286,149 @@ def test_solver_rejects_nonpositive_eps():
         solve_sinkhorn(prob, 1.0, threshold=0.0)
     with pytest.raises(ValueError):
         solve_sinkhorn(prob, 1.0, max_iters=0)
+
+
+# ---- kernel-scaling sweep against the log-domain reference ----
+
+
+def count_lse_calls(monkeypatch) -> list:
+    """Records every apply_lse_kernel call on the three backends."""
+    calls = []
+    for cls in (DenseGeometry, PointCloudGeometry, GridGeometry):
+        original = cls.apply_lse_kernel
+
+        def spy(self, *args, _original=original, **kwargs):
+            calls.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "apply_lse_kernel", spy)
+    return calls
+
+
+def assert_potentials_close(p, ref, w):
+    # Zero weights sit at -inf in both; elsewhere within 1e-12 of the scale.
+    npt.assert_array_equal(p[w == 0], -np.inf)
+    npt.assert_array_equal(ref[w == 0], -np.inf)
+    scale = np.abs(ref[w > 0]).max()
+    npt.assert_allclose(p[w > 0], ref[w > 0], rtol=0, atol=1e-12 * scale)
+
+
+def sparse_weights(rng, size):
+    w = rng.random(size) + 0.1
+    w[rng.permutation(size)[: size // 4]] = 0.0
+    return w / w.sum()
+
+
+def fast_path_cases():
+    """name -> (problem, eps), with eps at most 30 times below the cost range."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(30, 3)) + 0.5
+    cases = {}
+    for cost_fn in ("sqeucl", "eucl", "cosine"):
+        geom = PointCloudGeometry(x, y, cost_fn, block_size=16)
+        cases[f"cloud-{cost_fn}"] = (LinearProblem(geom), 0.1 * geom.mean_cost())
+    # Negative costs, as Gromov-Wasserstein linearizations have.
+    cases["dense-negative"] = (LinearProblem(DenseGeometry(rng.normal(size=(25, 35)))), 0.2)
+    grid = GridGeometry([np.linspace(0, 1, 6), np.linspace(0, 1, 7)])
+    cases["grid"] = (LinearProblem(grid, sparse_weights(rng, 42), None), 0.05)
+    geom = PointCloudGeometry(x, y)
+    cases["zero-weights"] = (
+        LinearProblem(geom, sparse_weights(rng, 40), sparse_weights(rng, 30)),
+        0.05 * geom.mean_cost(),
+    )
+    geom = PointCloudGeometry(x, y, "eucl")
+    schedule = EpsilonSchedule(0.1 * geom.mean_cost(), init_scale=50.0, decay=0.6)
+    cases["schedule"] = (LinearProblem(geom), schedule)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(fast_path_cases()))
+def test_kernel_scaling_matches_the_log_domain(name, monkeypatch):
+    prob, eps = fast_path_cases()[name]
+    calls = count_lse_calls(monkeypatch)
+    fast = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert fast.converged and calls == []
+    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert len(calls) > 0
+    assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)
+    shift, ref_shift = fast.f[prob.a > 0].mean(), ref.f[prob.a > 0].mean()
+    assert_potentials_close(fast.f - shift, ref.f - ref_shift, prob.a)
+    assert_potentials_close(fast.g + shift, ref.g + ref_shift, prob.b)
+    npt.assert_allclose(fast.errors, ref.errors, rtol=0, atol=1e-12)
+
+
+def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch):
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(12, 2))
+    y = x[rng.permutation(12)] @ np.array([[0.0, -1.0], [1.0, 0.0]])
+    qp = QuadraticProblem(PointCloudGeometry(x, x), PointCloudGeometry(y, y))
+    calls = count_lse_calls(monkeypatch)
+    fast = solve_gw(qp, eps_rel=0.05)
+    assert calls == []
+    # GW itself materializes costs of the inner solves' size, so the
+    # kernel is declined directly instead of through the cap.
+    monkeypatch.setattr(otkit.geometry.Geometry, "_kernel_matrix", lambda self, eps, out=None: None)
+    ref = solve_gw(qp, eps_rel=0.05)
+    assert len(calls) > 0
+    assert fast.outer_iterations == ref.outer_iterations >= 2
+    npt.assert_allclose(fast.coupling.matrix, ref.coupling.matrix, rtol=0, atol=1e-12)
+    npt.assert_allclose(fast.cost_trace, ref.cost_trace, rtol=1e-12)
+
+
+def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch):
+    rng = np.random.default_rng(23)
+    geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
+    prob = LinearProblem(geom)
+    target = 0.1 * geom.mean_cost()
+    eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
+    original = otkit.geometry.Geometry._kernel_matrix
+    builds = []
+
+    def underflowing(self, e, out=None):
+        kernel = original(self, e, out)
+        builds.append(e)
+        if len(builds) == 3:
+            kernel[0] = 0.0  # row 0 underflows once eps reaches its target
+        return kernel
+
+    monkeypatch.setattr(otkit.geometry.Geometry, "_kernel_matrix", underflowing)
+    calls = count_lse_calls(monkeypatch)
+    out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert builds == [4 * target, 2 * target, target]
+    assert calls and set(calls) == {"PointCloudGeometry"}
+    assert np.all(np.isfinite(out.f)) and np.all(np.isfinite(out.g))
+    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert (out.iterations, out.converged) == (ref.iterations, ref.converged)
+    assert_potentials_close(out.f, ref.f, prob.a)
+    assert_potentials_close(out.g, ref.g, prob.b)
+    npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    decay=st.sampled_from([0.3, 0.6, 0.9]),
+    cost_fn=st.sampled_from(["sqeucl", "eucl", "cosine"]),
+)
+def test_eps_decaying_across_the_kernel_limit_never_returns_nan(n, m, seed, decay, cost_fn):
+    # eps falls from 1 to max C / 1e6, so the sweeps start on the kernel
+    # and end in the log domain.
+    rng = np.random.default_rng(seed)
+    geom = PointCloudGeometry(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)), cost_fn)
+    a = rng.random(n) * (rng.random(n) < 0.7)
+    a[rng.integers(n)] += 0.5
+    b = rng.random(m) * (rng.random(m) < 0.7)
+    b[rng.integers(m)] += 0.5
+    prob = LinearProblem(geom, a / a.sum(), b / b.sum())
+    target = geom.cost_matrix().max() / 1e6
+    eps = EpsilonSchedule(target, init_scale=max(1.0 / target, 1.0), decay=decay)
+    try:
+        out = solve_sinkhorn(prob, eps, threshold=1e-6, max_iters=300)
+    except DivergedError:
+        return
+    assert np.all(np.isfinite(out.f[prob.a > 0])) and np.all(np.isfinite(out.g[prob.b > 0]))
