@@ -38,7 +38,7 @@ from .lowrank import lr_coupling, solve_lr_sinkhorn
 from .quadratic import QuadraticProblem, solve_gw
 from .reference import exact_gw_2x2, exact_lp_uniform
 from .sinkhorn import LinearProblem, reg_ot_cost, solve_sinkhorn, transport_matrix
-from .tools import SoftSortSpec, gmm_distance, sort_transport
+from .tools import SoftSortSpec, _ranks, _sorted_values, gmm_distance, sort_transport
 
 logger = logging.getLogger(__name__)
 
@@ -291,21 +291,19 @@ def _cmd_softsort(args) -> int:
     spec = SoftSortSpec(num_targets=args.num_targets, eps=args.eps if args.eps is not None else 1e-2)
     opts = _solver_opts(args)
     plan, converged = sort_transport(x, spec, **opts)
-    n = x.size
-    m = plan.shape[1]
     payload = {
         "command": "softsort",
         "eps": spec.eps,
         "converged": converged,
-        "sorted_values": (m * (plan.T @ x)).tolist(),
-        "ranks": (n * (plan @ np.arange(n, dtype=float))).tolist() if m == n else None,
+        "sorted_values": _sorted_values(plan, x).tolist(),
+        "ranks": _ranks(plan).tolist() if plan.shape == (x.size, x.size) else None,
     }
     if args.eps_sweep:
         sweep = []
         for eps in _parse_sweep(args.eps_sweep):
             plan_e, conv_e = sort_transport(x, dataclasses.replace(spec, eps=eps), **opts)
             converged = converged and conv_e
-            sweep.append({"eps": eps, "sorted_values": (m * (plan_e.T @ x)).tolist()})
+            sweep.append({"eps": eps, "sorted_values": _sorted_values(plan_e, x).tolist()})
         payload["sweep"] = sweep
         payload["converged"] = converged
     _emit(args, payload)

@@ -142,7 +142,8 @@ class Geometry:
         ``DEFAULT_DENSE_CAP``), so matrix-free pipelines fail loudly
         instead of allocating by accident.
         """
-        raise NotImplementedError
+        self._check_cap(max_entries)
+        return self._cost_rows(0, self.shape[0])
 
     def apply_kernel(self, v: np.ndarray, eps: float | None = None, axis: str = "rows") -> np.ndarray:
         """Applies the Gibbs kernel K = exp(-C/eps) to a vector.
@@ -206,9 +207,7 @@ class Geometry:
         return kernel
 
     def _resolve_eps(self, eps: float | None) -> float:
-        if eps is None:
-            return self.epsilon_default
-        eps = float(eps)
+        eps = float(self.epsilon_default if eps is None else eps)
         if not (eps > 0):
             raise ValueError("eps must be positive")
         return eps
@@ -239,10 +238,6 @@ class DenseGeometry(Geometry):
 
     def mean_cost(self) -> float:
         return float(self._cost.mean())
-
-    def cost_matrix(self, max_entries: int | None = None) -> np.ndarray:
-        self._check_cap(max_entries)
-        return self._cost
 
     def _cost_rows(self, start: int, stop: int) -> np.ndarray:
         return self._cost[start:stop]
@@ -314,19 +309,26 @@ class PointCloudGeometry(Geometry):
         # which pairwise formulas only give up to rounding.
         self._same_points = x is y or (x.shape == y.shape and np.array_equal(x, y))
 
-    def _cost_block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _cost_block(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False) -> np.ndarray:
+        """Costs between every row of xs and every row of ys, or with
+        ``pairs`` only between xs[k] and ys[k]."""
+
+        def dot(u, v):
+            return np.einsum("kd,kd->k", u, v) if pairs else u @ v.T
+
         if self.cost_fn == "cosine":
-            xn = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-            yn = ys / np.linalg.norm(ys, axis=1, keepdims=True)
-            return 1.0 - xn @ yn.T
-        sq = (
-            np.einsum("id,id->i", xs, xs)[:, None]
-            + np.einsum("jd,jd->j", ys, ys)[None, :]
-            - 2.0 * xs @ ys.T
-        )
+            xy = dot(
+                xs / np.linalg.norm(xs, axis=1, keepdims=True),
+                ys / np.linalg.norm(ys, axis=1, keepdims=True),
+            )
+            return np.subtract(1.0, xy, out=xy)
+        xx = np.einsum("id,id->i", xs, xs)
+        yy = np.einsum("jd,jd->j", ys, ys)
+        sq = xx + yy if pairs else xx[:, None] + yy[None, :]
+        sq -= dot(2.0 * xs, ys)
         np.maximum(sq, 0.0, out=sq)
         if self.cost_fn == "eucl":
-            return np.sqrt(sq)
+            np.sqrt(sq, out=sq)
         return sq
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
@@ -345,22 +347,10 @@ class PointCloudGeometry(Geometry):
         rng = np.random.default_rng(0)
         i = rng.integers(0, n, size=_MEAN_COST_SAMPLES)
         j = rng.integers(0, m, size=_MEAN_COST_SAMPLES)
-        if self.cost_fn == "cosine":
-            xn = self.x[i] / np.linalg.norm(self.x[i], axis=1, keepdims=True)
-            yn = self.y[j] / np.linalg.norm(self.y[j], axis=1, keepdims=True)
-            vals = 1.0 - np.einsum("kd,kd->k", xn, yn)
-        else:
-            diff = self.x[i] - self.y[j]
-            vals = np.maximum(np.einsum("kd,kd->k", diff, diff), 0.0)
-            if self.cost_fn == "eucl":
-                vals = np.sqrt(vals)
+        vals = self._cost_block(self.x[i], self.y[j], pairs=True)
         if self._same_points:
             vals = np.where(i == j, 0.0, vals)
         return float(vals.mean())
-
-    def cost_matrix(self, max_entries: int | None = None) -> np.ndarray:
-        self._check_cap(max_entries)
-        return self._cost_rows(0, self.shape[0])
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
@@ -441,10 +431,6 @@ class GridGeometry(Geometry):
         # The mean of a separable cost is the sum of per-axis means; no
         # sampling needed even when the full matrix is out of reach.
         return float(sum(c.mean() for c in self.cost_matrices))
-
-    def cost_matrix(self, max_entries: int | None = None) -> np.ndarray:
-        self._check_cap(max_entries)
-        return self._cost_rows(0, self.shape[0])
 
     def _cost_rows(self, start: int, stop: int) -> np.ndarray:
         # Row i of C is the sum over axes k of row i_k of cost matrix k,

@@ -99,16 +99,15 @@ def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
     lq3_2 = np.zeros(rank)
     lgt = lk3.copy()
     log_floor = np.log(_G_FLOOR)
-    lu1 = np.full(log_a.size, -np.inf)
-    lu2 = np.full(log_b.size, -np.inf)
-    lv1 = lv1t
-    lv2 = lv2t
-    err = np.inf
     prev_err = np.inf
+    # Row log-sum-exps of the factor kernels against the column scalings;
+    # the residual of one sweep computes those of the next.
+    ls1 = _lse(lk1 + lv1t[None, :], axis=1)
+    ls2 = _lse(lk2 + lv2t[None, :], axis=1)
     for sweep in range(_DYKSTRA_MAX_SWEEPS):
         with np.errstate(invalid="ignore"):
-            lu1 = np.where(a > 0, log_a - _lse(lk1 + lv1t[None, :], axis=1), -np.inf)
-            lu2 = np.where(b > 0, log_b - _lse(lk2 + lv2t[None, :], axis=1), -np.inf)
+            lu1 = np.where(a > 0, log_a - ls1, -np.inf)
+            lu2 = np.where(b > 0, log_b - ls2, -np.inf)
         lg = np.maximum(log_floor, lgt + lq3_1)
         lq3_1 = lgt + lq3_1 - lg
         lgt = lg
@@ -121,8 +120,10 @@ def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
         lq2 = lv2t + lq2 - lv2
         lq3_2 = lgt + lq3_2 - lg
         lv1t, lv2t, lgt = lv1, lv2, lg
-        row1 = np.exp(lu1 + _lse(lk1 + lv1[None, :], axis=1))
-        row2 = np.exp(lu2 + _lse(lk2 + lv2[None, :], axis=1))
+        ls1 = _lse(lk1 + lv1[None, :], axis=1)
+        ls2 = _lse(lk2 + lv2[None, :], axis=1)
+        row1 = np.exp(lu1 + ls1)
+        row2 = np.exp(lu2 + ls2)
         err = np.abs(row1 - a).sum() + np.abs(row2 - b).sum()
         if err <= _DYKSTRA_TOL:
             break

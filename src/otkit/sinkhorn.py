@@ -111,14 +111,9 @@ class RegOTCost(NamedTuple):
 
 
 def _resolve_schedule(geom: Geometry, eps) -> EpsilonSchedule:
-    if eps is None:
-        eps = geom.epsilon_default
     if isinstance(eps, EpsilonSchedule):
         return eps
-    eps = float(eps)
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
-    return EpsilonSchedule(eps)
+    return EpsilonSchedule(geom._resolve_eps(eps))
 
 
 def _dual_objective(f, g, a, b, eps, total_mass):

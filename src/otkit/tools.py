@@ -103,7 +103,7 @@ def soft_sort(
     """
     x = np.asarray(x, dtype=float)
     plan, _ = sort_transport(x, spec, threshold=threshold, max_iters=max_iters)
-    return plan.shape[1] * (plan.T @ x)
+    return _sorted_values(plan, x)
 
 
 def soft_rank(
@@ -122,7 +122,17 @@ def soft_rank(
     if spec.num_targets is not None and spec.num_targets != x.size:
         raise ValueError("soft_rank requires num_targets == len(x)")
     plan, _ = sort_transport(x, spec, threshold=threshold, max_iters=max_iters)
-    n = x.size
+    return _ranks(plan)
+
+
+def _sorted_values(plan: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Soft-sorted values: m times the barycentric projection P^T x."""
+    return plan.shape[1] * (plan.T @ x)
+
+
+def _ranks(plan: np.ndarray) -> np.ndarray:
+    """Soft ranks: n times the expected target index P (0..n-1)."""
+    n = plan.shape[0]
     return n * (plan @ np.arange(n, dtype=float))
 
 

@@ -1,5 +1,7 @@
 """Fixed-support barycenters via iterative Bregman projections."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from otkit import (
     PointCloudGeometry,
     solve_barycenter,
 )
+from otkit.errors import DivergedError
 
 
 def line_geometry(num_points):
@@ -119,3 +122,33 @@ def test_problem_validation():
         BarycenterProblem(DenseGeometry(np.zeros((2, 3))), good)
     with pytest.raises(ValueError):
         solve_barycenter(BarycenterProblem(geom, good), -1.0)
+
+
+def tiny_eps_problem(kind):
+    """Two histograms, one with a zero entry, on 30 cloud points or a 12x12 grid."""
+    rng = np.random.default_rng(5)
+    if kind == "support":
+        pts = rng.random((30, 2))
+        geom = PointCloudGeometry(pts, pts)
+    else:
+        axis = np.linspace(0.0, 1.0, 12)
+        geom = GridGeometry([axis, axis])
+    hists = rng.random((2, geom.shape[0]))
+    hists[0, 4] = 0.0
+    hists /= hists.sum(axis=1, keepdims=True)
+    return BarycenterProblem(geom, hists)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-310, 5e-324])
+@pytest.mark.parametrize("kind", ["support", "grid"])
+def test_eps_too_small_diverges_or_stays_finite(kind, eps):
+    bp = tiny_eps_problem(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = solve_barycenter(bp, eps)
+        except DivergedError as err:
+            assert err.iteration >= 1
+            return
+    assert not out.converged
+    assert np.all(np.isfinite(out.barycenter))

@@ -334,6 +334,27 @@ def test_barycenter_grid_mode_matches_the_library(tmp_path, capsys):
     assert payload["barycenter"] == out.barycenter.tolist()
 
 
+@pytest.mark.parametrize("eps", ["1e-300", "1e-310", "5e-324"])
+@pytest.mark.parametrize("kind", ["support", "grid"])
+def test_barycenter_exits_two_when_eps_is_too_small(tmp_path, capsys, kind, eps):
+    rng = np.random.default_rng(5)
+    if kind == "support":
+        geom_args = ["--support", write_csv(tmp_path / "support.csv", rng.random((30, 2)))]
+        size = 30
+    else:
+        axis = write_csv(tmp_path / "axis.csv", np.linspace(0.0, 1.0, 12)[:, None])
+        geom_args = ["--grid", axis, axis]
+        size = 144
+    hists = rng.random((2, size))
+    hists[0, 4] = 0.0
+    hists /= hists.sum(axis=1, keepdims=True)
+    hist_args = []
+    for i, h in enumerate(hists):
+        hist_args += ["--hist", write_csv(tmp_path / f"h{i}.csv", h[:, None])]
+    code, _, err = run(capsys, ["barycenter", *geom_args, *hist_args, "--eps", eps, "--max-iters", "50"])
+    assert code == 2, err
+
+
 def test_barycenter_of_identical_histograms_returns_them(tmp_path, capsys):
     pts = np.linspace(0.0, 1.0, 9)
     support = write_csv(tmp_path / "support.csv", pts[:, None])

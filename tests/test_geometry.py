@@ -19,6 +19,7 @@ from otkit import (
     solve_sinkhorn,
     transport_matrix,
 )
+from otkit.geometry import _MEAN_COST_SAMPLES
 
 
 def enumerate_grid(axes):
@@ -282,6 +283,18 @@ def test_subsampled_mean_cost_is_deterministic_and_close():
     assert first == second
     exact = DenseGeometry(PointCloudGeometry(x, y).cost_matrix()).mean_cost()
     assert abs(first - exact) <= 0.25 * exact
+    # The estimate reads the same cost formula as the cost matrix: it is
+    # the mean of cost_matrix() at the seeded sample pairs.
+    clouds = [(x, y, cost_fn) for cost_fn in COST_FNS] + [(x, x, "sqeucl"), (y, y.copy(), "eucl")]
+    for xs, ys, cost_fn in clouds:
+        geom = PointCloudGeometry(xs, ys, cost_fn)
+        n, m = geom.shape
+        assert n * m > _MEAN_COST_SAMPLES
+        pairs = np.random.default_rng(0)
+        i = pairs.integers(0, n, size=_MEAN_COST_SAMPLES)
+        j = pairs.integers(0, m, size=_MEAN_COST_SAMPLES)
+        sampled = geom.cost_matrix()[i, j].mean()
+        assert abs(geom.mean_cost() - sampled) <= 1e-12 * sampled, cost_fn
 
 
 def test_epsilon_schedule_decays_to_its_target():
