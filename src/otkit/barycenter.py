@@ -5,10 +5,11 @@ support, finds the weight vector p minimizing the weighted sum of
 entropic OT costs to the inputs. Classic scaling iterations: per
 histogram scalings (u_k, v_k) are updated against the shared barycenter
 p, which is the weighted geometric mean of the back-projected scalings.
-Each half-step is a log-domain Sinkhorn update on the shared geometry, so
-zero histogram entries are fine, and the iteration checks its potentials
-with Sinkhorn's divergence test: an eps too small for the costs raises
-``DivergedError`` instead of returning NaN.
+Each half-step is a Sinkhorn update through the geometry's kernel step,
+so it runs on Sinkhorn's cached kernel under ``DEFAULT_DENSE_CAP``
+entries and in the log domain otherwise, zero histogram entries are
+fine, and an eps too small for the costs raises ``DivergedError``
+instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import logging
 import numpy as np
 
 from .errors import DivergedError
-from .geometry import Geometry
-from .sinkhorn import _as_weights, _check_diverged
+from .geometry import Geometry, _KernelStep
+from .sinkhorn import _as_weights
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +73,14 @@ def solve_barycenter(
 
     Convergence is declared once the barycenter-side marginal of every
     coupling matches the current p within ``threshold`` in L1. The
-    returned p is normalized to sum exactly to 1.
+    returned p is normalized to sum exactly to 1, from log p, so it stays
+    finite when every entry of p has underflowed.
 
     Raises:
-      DivergedError: at the iteration where a potential f_k fails
-        Sinkhorn's divergence test (NaN or +inf, or -inf at a positive
-        histogram entry), a back-projection is not finite, or the
-        unnormalized barycenter p = exp(log p) has a NaN or +inf entry:
-        eps is too small to couple the support at the given costs.
+      DivergedError: at the iteration where a log-domain kernel
+        application is not finite, or the unnormalized barycenter
+        p = exp(log p) has a NaN or +inf entry: eps is too small to
+        couple the support at the given costs.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -88,36 +89,34 @@ def solve_barycenter(
     geom = bp.geom
     eps = geom._resolve_eps(eps)
     k, n = bp.histograms.shape
-    zeros = np.zeros(n)
+    step = _KernelStep(geom)
     g = np.zeros((k, n))
     back = np.zeros((k, n))  # eps * log(K^T u_k) per histogram
     converged = False
     t = 0
-    # Overflow, log(0) and inf - inf only show up in the potentials, which
-    # are checked below, so none of them is worth a warning.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         log_hists = np.log(bp.histograms)
         for t in range(1, max_iters + 1):
             for i in range(k):
-                f = eps * log_hists[i] - geom.apply_lse_kernel(zeros, g[i], eps, axis="rows")
-                _check_diverged(f, bp.histograms[i], t)
-                back[i] = geom.apply_lse_kernel(f, zeros, eps, axis="cols")
+                f = eps * log_hists[i] - step(g[i], eps, "rows", t)
+                back[i] = step(f, eps, "cols", t)
             log_p = (bp.weights @ back) / eps
             p = np.exp(log_p)
-            if not (np.isfinite(back).all() and np.isfinite(p).all()):
+            if not np.isfinite(p).all():
                 raise DivergedError(
                     "non-finite barycenter iterates; eps is likely too small for the cost scale",
                     iteration=t,
                 )
             err = 0.0
             for i in range(k):
-                # Marginal of coupling i before its g update: g + the "cols" kernel of (f, 0).
+                # Marginal of coupling i before its g update: g + the "cols" step of f.
                 marginal = np.exp((g[i] + back[i]) / eps)
                 err = max(err, float(np.abs(marginal - p).sum()))
                 g[i] = eps * log_p - back[i]
             if err <= threshold:
                 converged = True
                 break
+        p = np.exp(log_p - log_p.max())
     if not converged:
         logger.info("barycenter: no convergence after %d iterations", t)
     return BarycenterOutput(barycenter=p / p.sum(), converged=converged, iterations=t, eps=eps)

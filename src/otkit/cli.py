@@ -99,8 +99,6 @@ def _as_cli_weights(w: np.ndarray, size: int, name: str) -> np.ndarray:
 
 
 def _resolve_eps(args, geom) -> float | None:
-    if args.eps is not None and args.eps_rel is not None:
-        raise _InputError("--eps and --eps-rel are mutually exclusive")
     if args.eps is not None:
         return args.eps
     if args.eps_rel is not None:
@@ -192,8 +190,6 @@ def _cmd_quad(args) -> int:
     y = read_matrix(args.y)
     qp = QuadraticProblem(PointCloudGeometry(x, x, args.cost), PointCloudGeometry(y, y, args.cost))
     kwargs = {}
-    if args.eps is not None and args.eps_rel is not None:
-        raise _InputError("--eps and --eps-rel are mutually exclusive")
     if args.eps is not None:
         kwargs["eps"] = args.eps
     if args.eps_rel is not None:
@@ -241,8 +237,9 @@ def _cmd_barycenter(args) -> int:
         geom = PointCloudGeometry(support, support, args.cost)
     else:
         geom = GridGeometry([read_vector(p) for p in args.grid])
-    hists = np.stack([read_vector(p) for p in args.hist])
-    hists = np.stack([_as_cli_weights(h, geom.shape[0], f"histogram {i}") for i, h in enumerate(hists)])
+    hists = np.stack(
+        [_as_cli_weights(read_vector(p), geom.shape[0], f"histogram {i}") for i, p in enumerate(args.hist)]
+    )
     weights = _parse_weights_arg(args.weights, hists.shape[0])
     bp = BarycenterProblem(geom, hists, weights)
     eps = _resolve_eps(args, geom)
@@ -348,13 +345,13 @@ def _cmd_gmm(args) -> int:
 # ---- parser ----
 
 
-def _add_common(sub, eps: bool = True, solver_opts: bool = True) -> None:
+def _add_common(sub, eps: bool = True) -> None:
     if eps:
-        sub.add_argument("--eps", type=float, help="absolute regularization strength")
-        sub.add_argument("--eps-rel", type=float, help="regularization as a fraction of the mean cost")
-    if solver_opts:
-        sub.add_argument("--threshold", type=float, help="solver convergence threshold")
-        sub.add_argument("--max-iters", type=int, help="solver iteration cap")
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--eps", type=float, help="absolute regularization strength")
+        group.add_argument("--eps-rel", type=float, help="regularization as a fraction of the mean cost")
+    sub.add_argument("--threshold", type=float, help="solver convergence threshold")
+    sub.add_argument("--max-iters", type=int, help="solver iteration cap")
     sub.add_argument("--out", help="write the JSON summary here instead of stdout")
 
 
@@ -403,18 +400,14 @@ def _build_parser() -> argparse.ArgumentParser:
     softsort.add_argument("--num-targets", type=int, help="number of sort targets (default: input length)")
     softsort.add_argument("--eps", type=float, help="regularization in squashed units (default 1e-2)")
     softsort.add_argument("--eps-sweep", help="LO,HI,COUNT geometric eps sweep; one output row per eps")
-    softsort.add_argument("--threshold", type=float, help="solver convergence threshold")
-    softsort.add_argument("--max-iters", type=int, help="solver iteration cap")
-    softsort.add_argument("--out", help="write the JSON summary here instead of stdout")
+    _add_common(softsort, eps=False)
     softsort.set_defaults(handler=_cmd_softsort)
 
     gmm = commands.add_parser("gmm", help="OT distance between two Gaussian mixtures")
     gmm.add_argument("--m1", required=True, help="first mixture JSON (weights/means/covs)")
     gmm.add_argument("--m2", required=True, help="second mixture JSON")
     gmm.add_argument("--eps-rel", type=float, help="regularization as a fraction of the mean pair cost")
-    gmm.add_argument("--threshold", type=float, help="solver convergence threshold")
-    gmm.add_argument("--max-iters", type=int, help="solver iteration cap")
-    gmm.add_argument("--out", help="write the JSON summary here instead of stdout")
+    _add_common(gmm, eps=False)
     gmm.set_defaults(handler=_cmd_gmm)
 
     return parser

@@ -5,13 +5,12 @@ locations without necessarily storing the full n-by-m cost matrix.
 Solvers interact with costs exclusively through three operations:
 materialize the matrix (``cost_matrix``), apply the Gibbs kernel
 exp(-C/eps) to a vector (``apply_kernel``), or do the same contraction
-in the log domain (``apply_lse_kernel``). Under ``DEFAULT_DENSE_CAP``
-entries Sinkhorn multiplies by one n x m kernel instead
-(``Geometry._kernel_matrix``); above it, and for eps small against the
-cost range, it runs in the log domain. Couplings are formed only in row
-blocks (``Geometry._plan_blocks``): ``reg_ot_cost``, ``grad_points`` and
-``otkit lin`` without ``--coupling-out`` stream them, while
-``transport_matrix`` (``--coupling-out``), the low-rank solver and
+in the log domain (``apply_lse_kernel``). Sinkhorn and the barycenter
+apply kernels only through ``_KernelStep``, which makes, for one solve,
+the choice between a cached kernel and the log domain. Couplings are
+formed only in row blocks (``Geometry._plan_blocks``): ``reg_ot_cost``,
+``grad_points`` and ``otkit lin`` without ``--coupling-out`` stream them,
+while ``transport_matrix`` (``--coupling-out``), the low-rank solver and
 Gromov-Wasserstein materialize n x m matrices and refuse above
 ``DEFAULT_DENSE_CAP`` entries.
 
@@ -28,7 +27,13 @@ Backends:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+
+from .errors import DivergedError
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "Geometry",
@@ -50,9 +55,11 @@ _MEAN_COST_SAMPLES = 1000
 DEFAULT_BLOCK_SIZE = 256
 # Refuse to materialize cost matrices larger than this many entries.
 DEFAULT_DENSE_CAP = 4_000_000
-# Largest max|C|/eps for which a Gibbs kernel is built: its entries, and
-# scalings of the inverse size, then stay in float64's normal range.
+# Largest half cost range over eps for which a Gibbs kernel is built: on
+# the cost shifted by its midrange, its entries, and scalings of the
+# inverse size, then stay in float64's normal range.
 _KERNEL_EXPONENT_LIMIT = 0.5 * np.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 COST_FNS = ("sqeucl", "eucl", "cosine")
 
@@ -186,26 +193,6 @@ class Geometry:
             plan /= eps
             yield start, stop, cost, np.exp(plan, out=plan)
 
-    def _kernel_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray | None:
-        """The Gibbs kernel exp(-C/eps) as an n x m matrix, filled row block
-        by row block into ``out`` when given (so a new eps refills it).
-
-        Returns None when n*m exceeds ``DEFAULT_DENSE_CAP`` or max|C|/eps
-        exceeds ``_KERNEL_EXPONENT_LIMIT``; the solvers then stay in the
-        log domain.
-        """
-        n, m = self.shape
-        if n * m > DEFAULT_DENSE_CAP:
-            return None
-        kernel = np.empty((n, m)) if out is None else out
-        limit = _KERNEL_EXPONENT_LIMIT * eps
-        with np.errstate(over="ignore"):
-            for start, stop, cost, rows in self._plan_blocks(np.zeros(n), np.zeros(m), eps):
-                if max(cost.max(), -cost.min()) > limit:
-                    return None
-                kernel[start:stop] = rows
-        return kernel
-
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
         if not (eps > 0):
@@ -219,6 +206,74 @@ class Geometry:
             raise ValueError(
                 f"cost matrix with {n}x{m} = {n * m} entries exceeds the materialization cap {cap}"
             )
+
+
+class _KernelStep:
+    """``eps * log(K exp(p / eps))``, K = exp(-C/eps), for one solve.
+
+    ``"rows"`` maps a length-m p to length n, ``"cols"`` a length-n p to
+    length m. Under ``DEFAULT_DENSE_CAP`` entries, while half the cost
+    range over eps is at most ``_KERNEL_EXPONENT_LIMIT``, it multiplies by
+    one n x m kernel exp((c - C)/eps), c the midrange of C, refilled in
+    place when eps changes. Otherwise, and from the first product outside
+    float64's normal range on, it calls ``apply_lse_kernel`` and raises
+    ``DivergedError`` at iteration t on a non-finite result. Callers run
+    it under ``np.errstate(all="ignore")``.
+    """
+
+    def __init__(self, geom: Geometry):
+        n, m = geom.shape
+        self.geom = geom
+        self.kernel = np.empty((n, m)) if n * m <= DEFAULT_DENSE_CAP else None
+        self.eps = None
+
+    def __call__(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
+        if self.kernel is not None and eps != self.eps:
+            self.kernel, self.eps = self._kernel_matrix(eps), eps
+        if self.kernel is not None:
+            # "rows" results and "cols" inputs carry the shift: from g near
+            # 0, f = eps log a - step(g, "rows") lies near c, so both
+            # scalings stay near the weights' scale.
+            if axis == "rows":
+                kv, shift = self.kernel @ np.exp(p / eps), self.shift
+            else:
+                kv, shift = np.exp((p - self.shift) / eps) @ self.kernel, 0.0
+            if kv.min() >= self.floor and kv.max() < np.inf:
+                return eps * np.log(kv) - shift
+            logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
+            self.kernel = None
+        zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
+        f, g = (zeros, p) if axis == "rows" else (p, zeros)
+        r = self.geom.apply_lse_kernel(f, g, eps, axis)
+        if not np.isfinite(r).all():
+            raise DivergedError("non-finite potentials; eps is likely too small for the cost scale", iteration=t)
+        return r
+
+    def _kernel_matrix(self, eps: float) -> np.ndarray | None:
+        """Fills the buffer with exp((c - C)/eps) from cost row blocks, or
+        returns None once the rows seen span more than twice the limit.
+
+        ``floor``, the smallest product accepted, is tiny times the largest
+        kernel entry: a scaling that underflowed or is subnormal then moves
+        no accepted product by more than rounding.
+        """
+        geom, kernel = self.geom, self.kernel
+        block = getattr(geom, "block_size", DEFAULT_BLOCK_SIZE)
+        n = kernel.shape[0]
+        lo, hi = np.inf, -np.inf
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            cost = geom._cost_rows(start, stop)
+            lo, hi = min(lo, cost.min()), max(hi, cost.max())
+            if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
+                return None
+            kernel[start:stop] = cost
+        half_range = 0.5 * (hi - lo)
+        self.shift = lo + half_range
+        self.floor = _TINY * np.exp(half_range / eps)
+        np.subtract(self.shift, kernel, out=kernel)
+        kernel /= eps
+        return np.exp(kernel, out=kernel)
 
 
 class DenseGeometry(Geometry):

@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from otkit import DenseGeometry, GridGeometry, PointCloudGeometry
+
+
+@pytest.fixture
+def lse_calls(monkeypatch) -> list:
+    """Records every apply_lse_kernel call on the three backends."""
+    calls = []
+    for cls in (DenseGeometry, PointCloudGeometry, GridGeometry):
+        original = cls.apply_lse_kernel
+
+        def spy(self, *args, _original=original, **kwargs):
+            calls.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "apply_lse_kernel", spy)
+    return calls

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import otkit.geometry
 from otkit import (
     BarycenterProblem,
     DenseGeometry,
@@ -107,6 +108,47 @@ def test_zero_entries_in_histograms_are_fine():
     hists = np.stack([dirac(11, 0), dirac(11, 10)])
     out = solve_barycenter(BarycenterProblem(geom, hists), 1e-3 * geom.mean_cost())
     assert abs(out.barycenter.sum() - 1.0) <= 1e-10
+
+
+def test_every_entry_underflowing_still_returns_a_probability_vector():
+    # After one iteration log p is about -1250 everywhere, so p = exp(log p) is all zero.
+    geom, _ = line_geometry(11)
+    hists = np.stack([dirac(11, 0), dirac(11, 10)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = solve_barycenter(BarycenterProblem(geom, hists), 1e-3 * geom.mean_cost(), max_iters=1)
+    assert not out.converged
+    assert np.all(np.isfinite(out.barycenter)) and np.all(out.barycenter >= 0)
+    assert abs(out.barycenter.sum() - 1.0) <= 1e-12
+
+
+def kernel_path_problems():
+    """name -> problem: a cloud support with zero entries, a 9x8 grid, a dense cost."""
+    rng = np.random.default_rng(6)
+    pts = rng.random((60, 2))
+    hists = rng.random((3, 60))
+    hists[:, rng.permutation(60)[:15]] = 0.0
+    support = BarycenterProblem(PointCloudGeometry(pts, pts), hists / hists.sum(axis=1, keepdims=True))
+    grid = GridGeometry([np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])
+    hists = rng.random((2, 72))
+    grid_problem = BarycenterProblem(grid, hists / hists.sum(axis=1, keepdims=True), np.array([0.3, 0.7]))
+    hists = rng.random((2, 40))
+    dense = BarycenterProblem(DenseGeometry(3.0 * rng.random((40, 40))), hists / hists.sum(axis=1, keepdims=True))
+    return {"support": support, "grid": grid_problem, "dense": dense}
+
+
+@pytest.mark.parametrize("scale", [1e-2, 5e-2])
+@pytest.mark.parametrize("name", ["support", "grid", "dense"])
+def test_kernel_path_matches_the_log_domain(name, scale, monkeypatch, lse_calls):
+    bp = kernel_path_problems()[name]
+    eps = scale * bp.geom.mean_cost()
+    fast = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
+    assert lse_calls == []
+    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    ref = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
+    assert len(lse_calls) > 0
+    assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)
+    npt.assert_allclose(fast.barycenter, ref.barycenter, rtol=0, atol=1e-12)
 
 
 def test_problem_validation():

@@ -27,7 +27,7 @@ from otkit import (
     sort_transport,
     transport_matrix,
 )
-from otkit.cli import main
+from otkit.cli import _build_parser, main
 from otkit.fileio import read_gmm, read_matrix, read_vector, write_matrix_atomic
 
 
@@ -167,6 +167,7 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
         ["lin", "--x", "missing-file.csv", "--y", "{y}"],
         ["frobnicate"],
         [],
+        ["quad", "--x", "{x}", "--y", "{y}", "--eps", "1", "--eps-rel", "1"],
     ],
 )
 def test_input_errors_exit_one(tmp_path, capsys, two_point_files, argv):
@@ -353,6 +354,31 @@ def test_barycenter_exits_two_when_eps_is_too_small(tmp_path, capsys, kind, eps)
         hist_args += ["--hist", write_csv(tmp_path / f"h{i}.csv", h[:, None])]
     code, _, err = run(capsys, ["barycenter", *geom_args, *hist_args, "--eps", eps, "--max-iters", "50"])
     assert code == 2, err
+
+
+def test_barycenter_exits_two_with_a_finite_payload_when_every_entry_underflows(tmp_path, capsys):
+    # After one iteration log p is about -1250 everywhere, so p = exp(log p) is all zero.
+    support = write_csv(tmp_path / "support.csv", np.linspace(0.0, 1.0, 11)[:, None])
+    hist_args = []
+    for i, index in enumerate((0, 10)):
+        h = np.zeros(11)
+        h[index] = 1.0
+        hist_args += ["--hist", write_csv(tmp_path / f"h{i}.csv", h[:, None])]
+    argv = ["barycenter", "--support", support, *hist_args, "--eps-rel", "1e-3", "--max-iters", "1"]
+    code, payload, err = run(capsys, argv)
+    assert code == 2, err
+    assert payload["converged"] is False
+    bary = np.array(payload["barycenter"])
+    assert np.all(np.isfinite(bary)) and abs(bary.sum() - 1.0) <= 1e-12
+
+
+def test_barycenter_names_a_histogram_of_the_wrong_length(tmp_path, capsys):
+    support = write_csv(tmp_path / "support.csv", np.linspace(0.0, 1.0, 5)[:, None])
+    h0 = write_csv(tmp_path / "h0.csv", np.full(5, 0.2)[:, None])
+    h1 = write_csv(tmp_path / "h1.csv", np.full(4, 0.25)[:, None])
+    code, payload, err = run(capsys, ["barycenter", "--support", support, "--hist", h0, "--hist", h1])
+    assert code == 1 and payload is None
+    assert "histogram 1 must have 5 entries, got 4" in err
 
 
 def test_barycenter_of_identical_histograms_returns_them(tmp_path, capsys):
@@ -575,3 +601,25 @@ def test_importing_otkit_loads_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# ---- parser ----
+
+
+def test_subcommand_options_are_the_documented_lists():
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    options = {
+        name: [flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        for name, sub in subcommands.items()
+    }
+    common = ["--threshold", "--max-iters", "--out"]
+    assert options == {
+        "lin": ["--x", "--y", "--cost-matrix", "--cost", "--a", "--b", "--solver", "--rank", "--seed",
+                "--coupling-out", "--verify", "--eps", "--eps-rel", *common],
+        "quad": ["--x", "--y", "--cost", "--coupling-out", "--correspondence-out", "--verify", "--eps",
+                 "--eps-rel", *common],
+        "barycenter": ["--support", "--grid", "--cost", "--hist", "--weights", "--barycenter-out", "--eps",
+                       "--eps-rel", *common],
+        "softsort": ["--values", "--input", "--num-targets", "--eps", "--eps-sweep", *common],
+        "gmm": ["--m1", "--m2", "--eps-rel", *common],
+    }

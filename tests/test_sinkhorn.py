@@ -291,20 +291,6 @@ def test_solver_rejects_nonpositive_eps():
 # ---- kernel-scaling sweep against the log-domain reference ----
 
 
-def count_lse_calls(monkeypatch) -> list:
-    """Records every apply_lse_kernel call on the three backends."""
-    calls = []
-    for cls in (DenseGeometry, PointCloudGeometry, GridGeometry):
-        original = cls.apply_lse_kernel
-
-        def spy(self, *args, _original=original, **kwargs):
-            calls.append(type(self).__name__)
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "apply_lse_kernel", spy)
-    return calls
-
-
 def assert_potentials_close(p, ref, w):
     # Zero weights sit at -inf in both; elsewhere within 1e-12 of the scale.
     npt.assert_array_equal(p[w == 0], -np.inf)
@@ -340,13 +326,16 @@ def fast_path_cases():
     geom = PointCloudGeometry(x, y, "eucl")
     schedule = EpsilonSchedule(0.1 * geom.mean_cost(), init_scale=50.0, decay=0.6)
     cases["schedule"] = (LinearProblem(geom), schedule)
+    # A constant offset puts max|C|/eps past the kernel limit, but not
+    # half the cost range over eps.
+    cases["dense-offset"] = (LinearProblem(DenseGeometry(1000.0 + 30.0 * rng.random((25, 35)))), 2.0)
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(fast_path_cases()))
-def test_kernel_scaling_matches_the_log_domain(name, monkeypatch):
+def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls):
     prob, eps = fast_path_cases()[name]
-    calls = count_lse_calls(monkeypatch)
+    calls = lse_calls
     fast = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert fast.converged and calls == []
     monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
@@ -359,17 +348,17 @@ def test_kernel_scaling_matches_the_log_domain(name, monkeypatch):
     npt.assert_allclose(fast.errors, ref.errors, rtol=0, atol=1e-12)
 
 
-def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch):
+def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch, lse_calls):
     rng = np.random.default_rng(22)
     x = rng.normal(size=(12, 2))
     y = x[rng.permutation(12)] @ np.array([[0.0, -1.0], [1.0, 0.0]])
     qp = QuadraticProblem(PointCloudGeometry(x, x), PointCloudGeometry(y, y))
-    calls = count_lse_calls(monkeypatch)
+    calls = lse_calls
     fast = solve_gw(qp, eps_rel=0.05)
     assert calls == []
     # GW itself materializes costs of the inner solves' size, so the
     # kernel is declined directly instead of through the cap.
-    monkeypatch.setattr(otkit.geometry.Geometry, "_kernel_matrix", lambda self, eps, out=None: None)
+    monkeypatch.setattr(otkit.geometry._KernelStep, "_kernel_matrix", lambda self, eps: None)
     ref = solve_gw(qp, eps_rel=0.05)
     assert len(calls) > 0
     assert fast.outer_iterations == ref.outer_iterations >= 2
@@ -377,24 +366,37 @@ def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch):
     npt.assert_allclose(fast.cost_trace, ref.cost_trace, rtol=1e-12)
 
 
-def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch):
+def test_gw_on_an_80_point_rotated_copy_stays_on_the_kernel(lse_calls):
+    # At the default eps_rel, max|C|/eps of the later linearized costs is
+    # past the kernel limit; half their range over eps is not.
+    rng = np.random.default_rng(24)
+    x = rng.random((80, 2)) * 2.0
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    y = np.concatenate([x @ rot.T, np.zeros((80, 1))], axis=1)[rng.permutation(80)]
+    out = solve_gw(QuadraticProblem(PointCloudGeometry(x, x), PointCloudGeometry(y, y)))
+    assert out.outer_iterations >= 3
+    assert lse_calls == []
+
+
+def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls):
     rng = np.random.default_rng(23)
     geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
     prob = LinearProblem(geom)
     target = 0.1 * geom.mean_cost()
     eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
-    original = otkit.geometry.Geometry._kernel_matrix
+    original = otkit.geometry._KernelStep._kernel_matrix
     builds = []
 
-    def underflowing(self, e, out=None):
-        kernel = original(self, e, out)
+    def underflowing(self, e):
+        kernel = original(self, e)
         builds.append(e)
         if len(builds) == 3:
             kernel[0] = 0.0  # row 0 underflows once eps reaches its target
         return kernel
 
-    monkeypatch.setattr(otkit.geometry.Geometry, "_kernel_matrix", underflowing)
-    calls = count_lse_calls(monkeypatch)
+    monkeypatch.setattr(otkit.geometry._KernelStep, "_kernel_matrix", underflowing)
+    calls = lse_calls
     out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert builds == [4 * target, 2 * target, target]
     assert calls and set(calls) == {"PointCloudGeometry"}
