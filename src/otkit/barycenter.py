@@ -6,8 +6,8 @@ entropic OT costs to the inputs. Classic scaling iterations: per
 histogram scalings (u_k, v_k) are updated against the shared barycenter
 p, which is the weighted geometric mean of the back-projected scalings.
 Each half-step is a Sinkhorn update through the geometry's kernel step,
-so it runs on Sinkhorn's cached kernel under ``DEFAULT_DENSE_CAP``
-entries and in the log domain otherwise, zero histogram entries are
+so it runs on Sinkhorn's kernel (per-axis kernels on grids) and in the
+log domain where that kernel is declined, zero histogram entries are
 fine, and an eps too small for the costs raises ``DivergedError``
 instead of returning NaN.
 """

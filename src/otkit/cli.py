@@ -324,13 +324,9 @@ def _parse_sweep(raw: str) -> list[float]:
 def _cmd_gmm(args) -> int:
     mix1 = read_gmm(args.m1)
     mix2 = read_gmm(args.m2)
-    kwargs = {}
+    kwargs = _solver_opts(args)
     if args.eps_rel is not None:
         kwargs["eps_rel"] = args.eps_rel
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
     result = gmm_distance(mix1, mix2, **kwargs)
     payload = {
         "command": "gmm",

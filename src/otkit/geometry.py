@@ -2,13 +2,13 @@
 
 A geometry describes ground costs c(x_i, y_j) between two families of
 locations without necessarily storing the full n-by-m cost matrix.
-Solvers interact with costs exclusively through three operations:
-materialize the matrix (``cost_matrix``), apply the Gibbs kernel
-exp(-C/eps) to a vector (``apply_kernel``), or do the same contraction
-in the log domain (``apply_lse_kernel``). Sinkhorn and the barycenter
-apply kernels only through ``_KernelStep``, which makes, for one solve,
-the choice between a cached kernel and the log domain. Couplings are
-formed only in row blocks (``Geometry._plan_blocks``): ``reg_ot_cost``,
+Solvers interact with costs exclusively through the geometry: it
+materializes the matrix (``cost_matrix``), applies the Gibbs kernel
+exp(-C/eps) to a vector (``apply_kernel``) or in the log domain
+(``apply_lse_kernel``), and builds and applies a solve's kernel
+(``_gibbs``, ``_contract``), which ``_KernelStep`` uses for Sinkhorn and
+the barycenter, falling back to the log domain. Couplings are formed
+only in row blocks (``_cost_blocks``, ``_plan_blocks``): ``reg_ot_cost``,
 ``grad_points`` and ``otkit lin`` without ``--coupling-out`` stream them,
 while ``transport_matrix`` (``--coupling-out``), the low-rank solver and
 Gromov-Wasserstein materialize n x m matrices and refuse above
@@ -21,8 +21,9 @@ Backends:
   streams kernel applications over row blocks, so the matrix never has
   to exist in memory.
 * :class:`GridGeometry` handles costs that separate over the axes of a
-  Cartesian grid; kernel applications factor into one small contraction
-  per axis instead of one huge matrix product.
+  Cartesian grid; kernel applications, the solvers' included, factor
+  into one small contraction per axis at any grid size, and nothing
+  N x N is allocated.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
 DEFAULT_EPSILON_SCALE = 0.05
 # Mean cost estimation samples at most this many pairs on matrix-free backends.
 _MEAN_COST_SAMPLES = 1000
-# Row-block width for streamed point-cloud kernel applications.
+# Rows per cost block in streamed kernels, reductions and kernel builds.
 DEFAULT_BLOCK_SIZE = 256
 # Refuse to materialize cost matrices larger than this many entries.
 DEFAULT_DENSE_CAP = 4_000_000
@@ -126,6 +127,7 @@ class Geometry:
 
     _shape: tuple[int, int]
     _epsilon_default: float | None
+    block_size: int = DEFAULT_BLOCK_SIZE
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,22 +178,53 @@ class Geometry:
         """
         raise NotImplementedError
 
+    def _cost_blocks(self, transpose: bool = False):
+        """Yields ``(start, stop, cost_rows)`` over blocks of ``block_size``
+        rows of C, or of C^T when ``transpose``, from ``_cost_rows``."""
+        n = self.shape[1 if transpose else 0]
+        for start in range(0, n, self.block_size):
+            stop = min(start + self.block_size, n)
+            yield start, stop, self._cost_rows(start, stop, transpose)
+
     def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
         """Yields ``(start, stop, cost_rows, plan_rows)`` of the coupling
-        exp((f + g - C)/eps) over row blocks of ``block_size`` rows
-        (``DEFAULT_BLOCK_SIZE`` on backends without that attribute), with
-        cost rows from the backend's ``_cost_rows(start, stop)``.
-        """
+        exp((f + g - C)/eps) over the row blocks of ``_cost_blocks``."""
         n, m = self.shape
         f = _check_potential(f, n, "f")
         g = _check_potential(g, m, "g")
-        step = getattr(self, "block_size", DEFAULT_BLOCK_SIZE)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            cost = self._cost_rows(start, stop)
+        for start, stop, cost in self._cost_blocks():
             plan = f[start:stop, None] + g[None, :] - cost
             plan /= eps
             yield start, stop, cost, np.exp(plan, out=plan)
+
+    def _gibbs(self, eps: float, old: tuple | None) -> tuple | None:
+        """``(factors, c, floor)`` of the kernel exp((c - C)/eps), c the
+        midrange of C, or None when half the cost range over eps exceeds
+        ``_KERNEL_EXPONENT_LIMIT``. ``floor`` is tiny times the largest entry:
+        an underflowed or subnormal scaling then moves no product at least
+        ``floor`` by more than rounding. Here one n x m matrix, refused above
+        ``DEFAULT_DENSE_CAP`` entries and refilled in place from ``old``.
+        """
+        n, m = self.shape
+        if n * m > DEFAULT_DENSE_CAP:
+            return None
+        kernel = old[0][0] if old else np.empty((n, m))
+        lo, hi = np.inf, -np.inf
+        for start, stop, cost in self._cost_blocks():
+            lo, hi = min(lo, cost.min()), max(hi, cost.max())
+            if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
+                return None
+            kernel[start:stop] = cost
+        half_range = 0.5 * (hi - lo)
+        shift = lo + half_range
+        np.subtract(shift, kernel, out=kernel)
+        kernel /= eps
+        return (np.exp(kernel, out=kernel),), shift, _TINY * np.exp(half_range / eps)
+
+    def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
+        """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
+        (kernel,) = factors
+        return kernel @ v if axis == "rows" else v @ kernel
 
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
@@ -212,68 +245,38 @@ class _KernelStep:
     """``eps * log(K exp(p / eps))``, K = exp(-C/eps), for one solve.
 
     ``"rows"`` maps a length-m p to length n, ``"cols"`` a length-n p to
-    length m. Under ``DEFAULT_DENSE_CAP`` entries, while half the cost
-    range over eps is at most ``_KERNEL_EXPONENT_LIMIT``, it multiplies by
-    one n x m kernel exp((c - C)/eps), c the midrange of C, refilled in
-    place when eps changes. Otherwise, and from the first product outside
-    float64's normal range on, it calls ``apply_lse_kernel`` and raises
+    length m. It multiplies by the geometry's kernel on the cost shifted
+    by its midrange (``_gibbs``), built again whenever eps changes. When
+    the geometry declines, and from the first product outside float64's
+    normal range on, it calls ``apply_lse_kernel`` and raises
     ``DivergedError`` at iteration t on a non-finite result. Callers run
     it under ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, geom: Geometry):
-        n, m = geom.shape
-        self.geom = geom
-        self.kernel = np.empty((n, m)) if n * m <= DEFAULT_DENSE_CAP else None
-        self.eps = None
+        # gibbs is () before the first build and None in the log domain.
+        self.geom, self.gibbs, self.eps = geom, (), None
 
     def __call__(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
-        if self.kernel is not None and eps != self.eps:
-            self.kernel, self.eps = self._kernel_matrix(eps), eps
-        if self.kernel is not None:
+        if self.gibbs is not None and eps != self.eps:
+            self.gibbs, self.eps = self.geom._gibbs(eps, self.gibbs), eps
+        if self.gibbs is not None:
+            factors, shift, floor = self.gibbs
             # "rows" results and "cols" inputs carry the shift: from g near
             # 0, f = eps log a - step(g, "rows") lies near c, so both
             # scalings stay near the weights' scale.
-            if axis == "rows":
-                kv, shift = self.kernel @ np.exp(p / eps), self.shift
-            else:
-                kv, shift = np.exp((p - self.shift) / eps) @ self.kernel, 0.0
-            if kv.min() >= self.floor and kv.max() < np.inf:
-                return eps * np.log(kv) - shift
+            rows = axis == "rows"
+            kv = self.geom._contract(factors, np.exp((p if rows else p - shift) / eps), axis)
+            if kv.min() >= floor and kv.max() < np.inf:
+                return eps * np.log(kv) - (shift if rows else 0.0)
             logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
-            self.kernel = None
+            self.gibbs = None
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
         f, g = (zeros, p) if axis == "rows" else (p, zeros)
         r = self.geom.apply_lse_kernel(f, g, eps, axis)
         if not np.isfinite(r).all():
             raise DivergedError("non-finite potentials; eps is likely too small for the cost scale", iteration=t)
         return r
-
-    def _kernel_matrix(self, eps: float) -> np.ndarray | None:
-        """Fills the buffer with exp((c - C)/eps) from cost row blocks, or
-        returns None once the rows seen span more than twice the limit.
-
-        ``floor``, the smallest product accepted, is tiny times the largest
-        kernel entry: a scaling that underflowed or is subnormal then moves
-        no accepted product by more than rounding.
-        """
-        geom, kernel = self.geom, self.kernel
-        block = getattr(geom, "block_size", DEFAULT_BLOCK_SIZE)
-        n = kernel.shape[0]
-        lo, hi = np.inf, -np.inf
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            cost = geom._cost_rows(start, stop)
-            lo, hi = min(lo, cost.min()), max(hi, cost.max())
-            if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
-                return None
-            kernel[start:stop] = cost
-        half_range = 0.5 * (hi - lo)
-        self.shift = lo + half_range
-        self.floor = _TINY * np.exp(half_range / eps)
-        np.subtract(self.shift, kernel, out=kernel)
-        kernel /= eps
-        return np.exp(kernel, out=kernel)
 
 
 class DenseGeometry(Geometry):
@@ -294,16 +297,14 @@ class DenseGeometry(Geometry):
     def mean_cost(self) -> float:
         return float(self._cost.mean())
 
-    def _cost_rows(self, start: int, stop: int) -> np.ndarray:
-        return self._cost[start:stop]
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
+        return (self._cost.T if transpose else self._cost)[start:stop]
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        kernel = np.exp(-self._cost / eps)
-        if axis == "cols":
-            kernel = kernel.T
-        return kernel @ _check_vector(v, kernel.shape[1], "v")
+        v = _check_vector(v, self.shape[0 if axis == "cols" else 1], "v")
+        return self._contract((np.exp(-self._cost / eps),), v, axis)
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -414,9 +415,8 @@ class PointCloudGeometry(Geometry):
         n, m = self.shape if axis == "rows" else self.shape[::-1]
         v = _check_vector(v, m, "v")
         out = np.empty(n)
-        for start in range(0, n, self.block_size):
-            stop = min(start + self.block_size, n)
-            out[start:stop] = np.exp(-self._cost_rows(start, stop, axis == "cols") / eps) @ v
+        for start, stop, cost in self._cost_blocks(axis == "cols"):
+            out[start:stop] = np.exp(-cost / eps) @ v
         return out
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
@@ -427,9 +427,7 @@ class PointCloudGeometry(Geometry):
         g = _check_potential(g, m, "g")
         outer, inner = (f, g) if axis == "rows" else (g, f)
         out = np.empty(outer.size)
-        for start in range(0, outer.size, self.block_size):
-            stop = min(start + self.block_size, outer.size)
-            cost = self._cost_rows(start, stop, axis == "cols")
+        for start, stop, cost in self._cost_blocks(axis == "cols"):
             z = (outer[start:stop, None] + inner[None, :] - cost) / eps
             out[start:stop] = eps * _lse(z, axis=1)
         return out
@@ -487,7 +485,7 @@ class GridGeometry(Geometry):
         # sampling needed even when the full matrix is out of reach.
         return float(sum(c.mean() for c in self.cost_matrices))
 
-    def _cost_rows(self, start: int, stop: int) -> np.ndarray:
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
         # Row i of C is the sum over axes k of row i_k of cost matrix k,
         # broadcast along grid axis k; (i_k) is the multi-index of i.
         rows = stop - start
@@ -496,18 +494,32 @@ class GridGeometry(Geometry):
         for k, (c, i) in enumerate(zip(self.cost_matrices, coords)):
             shape = [1] * len(self.grid_shape)
             shape[k] = c.shape[1]
-            block += c[i].reshape(rows, *shape)
+            block += (c.T if transpose else c)[i].reshape(rows, *shape)
         return block.reshape(rows, -1)
+
+    def _gibbs(self, eps, old):
+        # A separable cost's range, and so its midrange, is the sum of its
+        # axes': one kernel per axis on that axis's midrange, whose products,
+        # intermediate contractions included, obey the n x m kernel's floor.
+        lo = [c.min() for c in self.cost_matrices]
+        half = [0.5 * (c.max() - low) for c, low in zip(self.cost_matrices, lo)]
+        if sum(half) > _KERNEL_EXPONENT_LIMIT * eps:
+            return None
+        mid = [low + h for low, h in zip(lo, half)]
+        factors = [np.exp((m - c) / eps) for m, c in zip(mid, self.cost_matrices)]
+        return factors, sum(mid), _TINY * np.exp(sum(half) / eps)
+
+    def _contract(self, factors, v, axis):
+        t = v.reshape(self.grid_shape)
+        for k, kernel in enumerate(factors):
+            t = np.moveaxis(np.tensordot(kernel if axis == "rows" else kernel.T, t, axes=(1, k)), 0, k)
+        return t.reshape(-1)
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
         v = _check_vector(v, self.shape[0], "v")
-        t = v.reshape(self.grid_shape)
-        for k, c in enumerate(self.cost_matrices):
-            kernel = np.exp(-(c if axis == "rows" else c.T) / eps)
-            t = np.moveaxis(np.tensordot(kernel, t, axes=(1, k)), 0, k)
-        return t.reshape(-1)
+        return self._contract([np.exp(-c / eps) for c in self.cost_matrices], v, axis)
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from otkit import DenseGeometry, GridGeometry, PointCloudGeometry
+from otkit import DenseGeometry, Geometry, GridGeometry, PointCloudGeometry
 
 
 @pytest.fixture
@@ -18,3 +18,15 @@ def lse_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(cls, "apply_lse_kernel", spy)
     return calls
+
+
+@pytest.fixture
+def log_domain(monkeypatch):
+    """Call it to make every backend's kernel builder decline, so that the
+    solves that follow run in the log domain, the reference."""
+
+    def force():
+        for cls in (Geometry, GridGeometry):
+            monkeypatch.setattr(cls, "_gibbs", lambda self, eps, old: None)
+
+    return force

@@ -123,7 +123,9 @@ def test_every_entry_underflowing_still_returns_a_probability_vector():
 
 
 def kernel_path_problems():
-    """name -> problem: a cloud support with zero entries, a 9x8 grid, a dense cost."""
+    """name -> problem: a cloud support with zero entries, a 9x8 grid, a dense
+    cost, a grid above the dense cap, a grid with asymmetric per-axis costs
+    and a 3-axis grid."""
     rng = np.random.default_rng(6)
     pts = rng.random((60, 2))
     hists = rng.random((3, 60))
@@ -134,17 +136,26 @@ def kernel_path_problems():
     grid_problem = BarycenterProblem(grid, hists / hists.sum(axis=1, keepdims=True), np.array([0.3, 0.7]))
     hists = rng.random((2, 40))
     dense = BarycenterProblem(DenseGeometry(3.0 * rng.random((40, 40))), hists / hists.sum(axis=1, keepdims=True))
-    return {"support": support, "grid": grid_problem, "dense": dense}
+    problems = {"support": support, "grid": grid_problem, "dense": dense}
+    for name, geom in [
+        ("grid-above-cap", GridGeometry([np.linspace(0.0, 1.0, 48), np.linspace(0.0, 1.0, 45)])),
+        ("grid-asymmetric", GridGeometry([np.arange(6.0), np.arange(5.0)], [rng.random((6, 6)), rng.random((5, 5))])),
+        ("grid-3-axes", GridGeometry([np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3)])),
+    ]:
+        hists = rng.random((2, geom.shape[0]))
+        problems[name] = BarycenterProblem(geom, hists / hists.sum(axis=1, keepdims=True))
+    assert problems["grid-above-cap"].geom.shape[0] ** 2 > otkit.geometry.DEFAULT_DENSE_CAP
+    return problems
 
 
 @pytest.mark.parametrize("scale", [1e-2, 5e-2])
-@pytest.mark.parametrize("name", ["support", "grid", "dense"])
-def test_kernel_path_matches_the_log_domain(name, scale, monkeypatch, lse_calls):
+@pytest.mark.parametrize("name", ["support", "grid", "dense", "grid-above-cap", "grid-asymmetric", "grid-3-axes"])
+def test_kernel_path_matches_the_log_domain(name, scale, lse_calls, log_domain):
     bp = kernel_path_problems()[name]
     eps = scale * bp.geom.mean_cost()
     fast = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
     assert lse_calls == []
-    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    log_domain()
     ref = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
     assert len(lse_calls) > 0
     assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)

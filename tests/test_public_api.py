@@ -1,0 +1,101 @@
+"""The library's compatibility surface: exported names, their signatures,
+and the public methods of the geometries. Everything below it may change."""
+
+import inspect
+
+import pytest
+
+import otkit
+
+SOFT_SORT_DEFAULTS = "(x, spec=SoftSortSpec(num_targets=None, eps=0.01, squash='minmax'), *, threshold=0.0001, max_iters=10000)"
+
+# Recorded from the library; None where the callable has no signature.
+SIGNATURES = {
+    "OtkitError": None,
+    "DivergedError": "(message, iteration)",
+    "Geometry": "()",
+    "DenseGeometry": "(cost, epsilon_default=None)",
+    "PointCloudGeometry": "(x, y, cost_fn='sqeucl', epsilon_default=None, block_size=256)",
+    "GridGeometry": "(axes, cost_matrices=None, epsilon_default=None)",
+    "EpsilonSchedule": "(target, init_scale=1.0, decay=1.0)",
+    "LinearProblem": "(geom, a=None, b=None)",
+    "SinkhornOutput": "(f, g, errors, dual_trace, iterations, converged, eps)",
+    "Coupling": "(matrix)",
+    "RegOTCost": "(transport_cost, dual_objective)",
+    "solve_sinkhorn": "(prob, eps=None, *, threshold=0.001, max_iters=2000, inner_iters=10)",
+    "transport_matrix": "(out, prob)",
+    "reg_ot_cost": "(out, prob)",
+    "grad_weights": "(out, prob)",
+    "grad_points": "(out, prob)",
+    "LowRankFactors": "(q, r, g)",
+    "LowRankOutput": "(factors, costs, iterations, converged)",
+    "solve_lr_sinkhorn": "(prob, rank, *, gamma=None, threshold=1e-06, max_iters=1000, inner_iters=10, seed=0)",
+    "lr_coupling": "(factors)",
+    "QuadraticProblem": "(geom_x, geom_y, a=None, b=None)",
+    "GWOutput": "(coupling, gw_cost, outer_iterations, cost_trace, converged)",
+    "gw_objective": "(qp, plan, method='expansion')",
+    "gw_linearized_cost": "(qp, plan)",
+    "solve_gw": (
+        "(qp, *, eps=None, eps_rel=0.01, outer_iters=20, outer_threshold=1e-05, "
+        "inner_threshold=0.001, inner_max_iters=2000)"
+    ),
+    "BarycenterProblem": "(geom, histograms, weights=None)",
+    "BarycenterOutput": "(barycenter, converged, iterations, eps)",
+    "solve_barycenter": "(bp, eps=None, *, threshold=0.0001, max_iters=1000)",
+    "SoftSortSpec": "(num_targets=None, eps=0.01, squash='minmax')",
+    "sort_transport": SOFT_SORT_DEFAULTS,
+    "soft_sort": SOFT_SORT_DEFAULTS,
+    "soft_rank": SOFT_SORT_DEFAULTS,
+    "Gaussian": "(mean, cov)",
+    "GaussianMixture": "(weights, components)",
+    "GMMDistance": "(value, coupling, converged=True)",
+    "bures_w2": "(g1, g2)",
+    "gmm_distance": "(mix1, mix2, *, eps_rel=0.001, threshold=1e-12, max_iters=50000)",
+    "OracleResult": "(value, argmin)",
+    "exact_lp_uniform": "(cost)",
+    "exact_gw_2x2": "(cost_x, cost_y, a, b)",
+    "finite_diff": "(fn, point, step=1e-05)",
+}
+
+NON_CALLABLE = ["__version__", "COST_FNS", "DEFAULT_EPSILON_SCALE"]
+
+GEOMETRY_METHODS = {
+    "apply_kernel": "(self, v, eps=None, axis='rows')",
+    "apply_lse_kernel": "(self, f, g, eps=None, axis='rows')",
+    "cost_matrix": "(self, max_entries=None)",
+    "epsilon_default": "property",
+    "mean_cost": "(self)",
+    "shape": "property",
+}
+
+
+def bare_signature(obj) -> str | None:
+    """The signature without annotations, which vary across Python versions."""
+    try:
+        sig = inspect.signature(obj)
+    except ValueError:
+        return None
+    params = [p.replace(annotation=inspect.Parameter.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=inspect.Signature.empty))
+
+
+def test_exported_names_are_unchanged():
+    assert sorted(otkit.__all__) == sorted(NON_CALLABLE + list(SIGNATURES))
+    assert len(otkit.__all__) == len(set(otkit.__all__))
+    assert [name for name in otkit.__all__ if not callable(getattr(otkit, name))] == NON_CALLABLE
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_exported_signatures_are_unchanged(name):
+    assert bare_signature(getattr(otkit, name)) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("cls", [otkit.DenseGeometry, otkit.PointCloudGeometry, otkit.GridGeometry])
+def test_geometry_public_methods_are_unchanged(cls):
+    methods = {}
+    for name in dir(cls):
+        attr = inspect.getattr_static(cls, name)
+        if name.startswith("_") or not (callable(attr) or isinstance(attr, property)):
+            continue
+        methods[name] = "property" if isinstance(attr, property) else bare_signature(attr)
+    assert methods == GEOMETRY_METHODS

@@ -329,16 +329,26 @@ def fast_path_cases():
     # A constant offset puts max|C|/eps past the kernel limit, but not
     # half the cost range over eps.
     cases["dense-offset"] = (LinearProblem(DenseGeometry(1000.0 + 30.0 * rng.random((25, 35)))), 2.0)
+    # Grids run on per-axis kernels at every size: above the dense cap, with
+    # asymmetric per-axis costs ("cols" contracts the transposed factors),
+    # and on three axes.
+    big = GridGeometry([np.linspace(0, 1, 48), np.linspace(0, 1, 45)])
+    assert big.shape[0] * big.shape[1] > otkit.geometry.DEFAULT_DENSE_CAP
+    cases["grid-above-cap"] = (LinearProblem(big, sparse_weights(rng, big.shape[0]), None), 0.05)
+    asym = GridGeometry([np.arange(5.0), np.arange(7.0)], [rng.random((5, 5)), 2.0 * rng.random((7, 7))])
+    cases["grid-asymmetric"] = (LinearProblem(asym, sparse_weights(rng, 35), sparse_weights(rng, 35)), 0.1)
+    cube = GridGeometry([np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.linspace(0, 1, 3)])
+    cases["grid-3-axes"] = (LinearProblem(cube, None, sparse_weights(rng, 60)), 0.05)
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(fast_path_cases()))
-def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls):
+def test_kernel_scaling_matches_the_log_domain(name, lse_calls, log_domain):
     prob, eps = fast_path_cases()[name]
     calls = lse_calls
     fast = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert fast.converged and calls == []
-    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    log_domain()
     ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert len(calls) > 0
     assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)
@@ -348,7 +358,7 @@ def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls):
     npt.assert_allclose(fast.errors, ref.errors, rtol=0, atol=1e-12)
 
 
-def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch, lse_calls):
+def test_gw_warm_started_inner_solves_match_the_log_domain(lse_calls, log_domain):
     rng = np.random.default_rng(22)
     x = rng.normal(size=(12, 2))
     y = x[rng.permutation(12)] @ np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -356,9 +366,7 @@ def test_gw_warm_started_inner_solves_match_the_log_domain(monkeypatch, lse_call
     calls = lse_calls
     fast = solve_gw(qp, eps_rel=0.05)
     assert calls == []
-    # GW itself materializes costs of the inner solves' size, so the
-    # kernel is declined directly instead of through the cap.
-    monkeypatch.setattr(otkit.geometry._KernelStep, "_kernel_matrix", lambda self, eps: None)
+    log_domain()
     ref = solve_gw(qp, eps_rel=0.05)
     assert len(calls) > 0
     assert fast.outer_iterations == ref.outer_iterations >= 2
@@ -379,34 +387,55 @@ def test_gw_on_an_80_point_rotated_copy_stays_on_the_kernel(lse_calls):
     assert lse_calls == []
 
 
-def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls):
+def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain):
     rng = np.random.default_rng(23)
     geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
     prob = LinearProblem(geom)
     target = 0.1 * geom.mean_cost()
     eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
-    original = otkit.geometry._KernelStep._kernel_matrix
+    original = otkit.geometry.Geometry._gibbs
     builds = []
 
-    def underflowing(self, e):
-        kernel = original(self, e)
+    def underflowing(self, e, old):
+        gibbs = original(self, e, old)
         builds.append(e)
         if len(builds) == 3:
-            kernel[0] = 0.0  # row 0 underflows once eps reaches its target
-        return kernel
+            gibbs[0][0][0] = 0.0  # row 0 underflows once eps reaches its target
+        return gibbs
 
-    monkeypatch.setattr(otkit.geometry._KernelStep, "_kernel_matrix", underflowing)
+    monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", underflowing)
     calls = lse_calls
     out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert builds == [4 * target, 2 * target, target]
     assert calls and set(calls) == {"PointCloudGeometry"}
     assert np.all(np.isfinite(out.f)) and np.all(np.isfinite(out.g))
-    monkeypatch.setattr(otkit.geometry, "DEFAULT_DENSE_CAP", 0)
+    log_domain()
     ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert (out.iterations, out.converged) == (ref.iterations, ref.converged)
     assert_potentials_close(out.f, ref.f, prob.a)
     assert_potentials_close(out.g, ref.g, prob.b)
     npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
+
+
+def test_the_convergence_check_product_serves_the_next_sweep(monkeypatch, log_domain):
+    # A solve of T sweeps makes 2T kernel steps, plus the product of its
+    # last check, which no sweep follows.
+    calls = []
+    original = otkit.geometry._KernelStep.__call__
+
+    def counting(self, *args):
+        calls.append(args[2])
+        return original(self, *args)
+
+    monkeypatch.setattr(otkit.geometry._KernelStep, "__call__", counting)
+    prob, eps = fast_path_cases()["cloud-sqeucl"]
+    for force in (lambda: None, log_domain):
+        force()
+        calls.clear()
+        out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000, inner_iters=10)
+        assert out.converged and out.iterations >= 30
+        assert len(calls) == 2 * out.iterations + 1
+        assert calls.count("cols") == out.iterations
 
 
 @settings(max_examples=40, deadline=None)
