@@ -50,7 +50,7 @@ __all__ = [
 
 # epsilon_default = this fraction of the (estimated) mean cost.
 DEFAULT_EPSILON_SCALE = 0.05
-# Mean cost estimation samples at most this many pairs on matrix-free backends.
+# Mean cost estimation samples at most this many pairs on point clouds.
 _MEAN_COST_SAMPLES = 1000
 # Rows per cost block in streamed kernels, reductions and kernel builds.
 DEFAULT_BLOCK_SIZE = 256
@@ -478,11 +478,8 @@ class GridGeometry(Geometry):
         self._epsilon_default = epsilon_default
 
     def mean_cost(self) -> float:
-        total = self.shape[0]
-        if total * total <= _MEAN_COST_SAMPLES:
-            return float(self._cost_rows(0, total).mean())
-        # The mean of a separable cost is the sum of per-axis means; no
-        # sampling needed even when the full matrix is out of reach.
+        # The mean of a separable cost is the sum of per-axis means: exact
+        # at every size, with no sampling and nothing N x N.
         return float(sum(c.mean() for c in self.cost_matrices))
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:

@@ -140,6 +140,8 @@ def solve_gw(
         raise ValueError("outer_threshold must be positive")
     if eps is not None and not (eps > 0):
         raise ValueError("eps must be positive")
+    if not (eps_rel > 0):
+        raise ValueError("eps_rel must be positive")
     plan = np.outer(qp.a, qp.b)
     trace = [gw_objective(qp, plan)]
     best_cost = trace[0]

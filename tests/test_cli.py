@@ -168,6 +168,8 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
         ["frobnicate"],
         [],
         ["quad", "--x", "{x}", "--y", "{y}", "--eps", "1", "--eps-rel", "1"],
+        ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "-1"],
+        ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "0"],
     ],
 )
 def test_input_errors_exit_one(tmp_path, capsys, two_point_files, argv):
@@ -272,6 +274,36 @@ def test_quad_matches_the_library_bitwise(tmp_path, capsys):
         assert int(row) == i
         assert int(col) == partners[i]
         assert float(mass) == out.coupling.matrix[i, partners[i]]
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (["--eps", "0.005", "--threshold", "1e-4", "--max-iters", "10"],
+         {"eps": 0.005, "outer_threshold": 1e-4, "outer_iters": 10}),
+        (["--eps-rel", "0.2", "--max-iters", "2"], {"eps_rel": 0.2, "outer_iters": 2}),
+    ],
+)
+def test_quad_solver_flags_match_the_library_bitwise(tmp_path, capsys, flags, kwargs):
+    rng = np.random.default_rng(3)
+    points_x = rng.random((5, 2))
+    points_y = rng.random((4, 2))
+    x = write_csv(tmp_path / "x.csv", points_x)
+    y = write_csv(tmp_path / "y.csv", points_y)
+    code, payload, _ = run(capsys, ["quad", "--x", x, "--y", y] + flags)
+    points_x, points_y = read_matrix(x), read_matrix(y)
+    qp = QuadraticProblem(
+        PointCloudGeometry(points_x, points_x), PointCloudGeometry(points_y, points_y)
+    )
+    out = solve_gw(qp, **kwargs)
+    assert code == (0 if out.converged else 2)
+    assert payload == {
+        "command": "quad",
+        "gw_cost": out.gw_cost,
+        "outer_iterations": out.outer_iterations,
+        "converged": out.converged,
+        "cost_trace": out.cost_trace.tolist(),
+    }
 
 
 # ---- barycenter ----

@@ -299,6 +299,16 @@ def test_subsampled_mean_cost_is_deterministic_and_close():
         assert abs(geom.mean_cost() - sampled) <= 1e-12 * sampled, cost_fn
 
 
+@pytest.mark.parametrize("grid_shape", [(3, 4), (5, 7), (2, 3, 4)])
+def test_grid_mean_cost_is_the_exact_mean_at_every_size(grid_shape):
+    # 144, 1,225 and 576 cost entries, below and above 1,000.
+    rng = np.random.default_rng(11)
+    axes = [np.linspace(0.0, 1.0, k) for k in grid_shape]
+    geom = GridGeometry(axes, [rng.random((k, k)) for k in grid_shape])
+    exact = geom.cost_matrix().mean()
+    assert abs(geom.mean_cost() - exact) <= 1e-12 * exact
+
+
 def test_epsilon_schedule_decays_to_its_target():
     sched = EpsilonSchedule(0.01, init_scale=100.0, decay=0.5)
     assert sched.at(0) == 1.0

@@ -97,6 +97,34 @@ def test_cost_trace_is_nonincreasing():
     assert np.all(np.diff(out.costs) <= 1e-7)
 
 
+@pytest.mark.parametrize("backend", ["dense", "pointcloud"])
+def test_last_cost_is_the_transport_cost_of_the_returned_factors(backend):
+    rng = np.random.default_rng(5)
+    if backend == "dense":
+        geom = DenseGeometry(rng.random((5, 4)))
+    else:
+        geom = PointCloudGeometry(rng.random((5, 2)), rng.random((4, 2)))
+    out = solve_lr_sinkhorn(LinearProblem(geom), 2)
+    q, r, g = out.factors.q, out.factors.r, out.factors.g
+    assert out.costs[-1] == np.sum(q * (geom.cost_matrix() @ (r / g)))
+
+
+def test_zero_cost_falls_back_to_a_seeded_random_start():
+    # eps of the guide solve is a fraction of the mean cost, here 0, so the
+    # start comes from the seeded random fallback.
+    prob = LinearProblem(DenseGeometry(np.zeros((4, 3))))
+    out = solve_lr_sinkhorn(prob, 2, seed=4)
+    assert out.converged
+    factors = out.factors
+    assert np.abs(factors.q.sum(axis=1) - prob.a).sum() <= 1e-6
+    assert np.abs(factors.r.sum(axis=1) - prob.b).sum() <= 1e-6
+    assert np.abs(factors.q.sum(axis=0) - factors.g).sum() <= 1e-6
+    assert np.abs(factors.r.sum(axis=0) - factors.g).sum() <= 1e-6
+    again = solve_lr_sinkhorn(prob, 2, seed=4).factors
+    for name in ("q", "r", "g"):
+        assert getattr(again, name).tobytes() == getattr(factors, name).tobytes()
+
+
 def test_identical_inputs_give_bitwise_identical_outputs():
     rng = np.random.default_rng(2)
     prob = LinearProblem(DenseGeometry(rng.random((4, 4))))

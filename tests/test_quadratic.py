@@ -183,6 +183,12 @@ def test_problem_rejects_asymmetric_self_costs():
         QuadraticProblem(DenseGeometry(lopsided), DenseGeometry(np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("eps_rel", [-1.0, 0.0, float("nan")])
+def test_solve_gw_rejects_a_nonpositive_eps_rel(eps_rel):
+    with pytest.raises(ValueError, match="eps_rel"):
+        solve_gw(stretched_pair(), eps_rel=eps_rel)
+
+
 def test_problem_rejects_invalid_weights():
     cx = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
