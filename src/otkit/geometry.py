@@ -106,10 +106,10 @@ class EpsilonSchedule:
     """
 
     def __init__(self, target: float, init_scale: float = 1.0, decay: float = 1.0):
-        if not (target > 0):
-            raise ValueError("target must be positive")
-        if init_scale < 1.0:
-            raise ValueError("init_scale must be >= 1")
+        if not (0 < target < np.inf):
+            raise ValueError(f"target must be positive and finite, got {target!r}")
+        if not (1.0 <= init_scale < np.inf):
+            raise ValueError(f"init_scale must be finite and >= 1, got {init_scale!r}")
         if not (0.0 < decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
         if init_scale > 1.0 and decay == 1.0:
@@ -228,8 +228,8 @@ class Geometry:
 
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
-        if not (eps > 0):
-            raise ValueError("eps must be positive")
+        if not (0 < eps < np.inf):
+            raise ValueError(f"eps must be positive and finite, got {eps!r}")
         return eps
 
     def _check_cap(self, max_entries: int | None) -> None:

@@ -61,8 +61,31 @@ class GWOutput:
     converged: bool
 
 
-def _plan_array(plan: Coupling | np.ndarray) -> np.ndarray:
-    return plan.matrix if isinstance(plan, Coupling) else np.asarray(plan, dtype=float)
+class _SquareLoss:
+    """Square-loss split terms (Peyre, Cuturi & Solomon, ICML 2016) of one problem:
+    both cost matrices, their squares and the constant ``(Cx^2 a) 1^T + 1 (Cy^2 b)^T``."""
+
+    def __init__(self, qp: QuadraticProblem):
+        self.cost_x = qp.geom_x.cost_matrix()
+        self.cost_y = qp.geom_y.cost_matrix()
+        self.sq_x = self.cost_x**2
+        self.sq_y = self.cost_y**2
+        self.const = (self.sq_x @ qp.a)[:, None] + (self.sq_y @ qp.b)[None, :]
+
+    def plan(self, plan: Coupling | np.ndarray) -> np.ndarray:
+        plan = plan.matrix if isinstance(plan, Coupling) else np.asarray(plan, dtype=float)
+        if plan.shape != self.const.shape:
+            raise ValueError(f"coupling shape {plan.shape} does not match the geometries")
+        return plan
+
+    def at(self, plan: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective and linearized cost of a plan, from one product Cx P Cy^T."""
+        cross = self.cost_x @ plan @ self.cost_y.T
+        row = plan.sum(axis=1)
+        col = plan.sum(axis=0)
+        quad_x = float(row @ self.sq_x @ row)
+        quad_y = float(col @ self.sq_y @ col)
+        return quad_x + quad_y - 2.0 * float(np.sum(cross * plan)), self.const - 2.0 * cross
 
 
 def gw_objective(qp: QuadraticProblem, plan: Coupling | np.ndarray, method: str = "expansion") -> float:
@@ -72,25 +95,16 @@ def gw_objective(qp: QuadraticProblem, plan: Coupling | np.ndarray, method: str 
     quadratic forms and one cross term; ``method="literal"`` evaluates
     the full quartic sum (only for n, m <= 8) as an independent check.
     """
-    plan = _plan_array(plan)
-    cost_x = qp.geom_x.cost_matrix()
-    cost_y = qp.geom_y.cost_matrix()
-    n, m = plan.shape
-    if plan.shape != (cost_x.shape[0], cost_y.shape[0]):
-        raise ValueError(f"coupling shape {plan.shape} does not match the geometries")
+    terms = _SquareLoss(qp)
+    plan = terms.plan(plan)
     if method == "literal":
-        if n > _LITERAL_SIZE_CAP or m > _LITERAL_SIZE_CAP:
+        if max(plan.shape) > _LITERAL_SIZE_CAP:
             raise ValueError(f"literal quartic evaluation is capped at {_LITERAL_SIZE_CAP} points per side")
-        diff = cost_x[:, None, :, None] - cost_y[None, :, None, :]
+        diff = terms.cost_x[:, None, :, None] - terms.cost_y[None, :, None, :]
         return float(np.einsum("ijkl,ij,kl->", diff**2, plan, plan))
     if method != "expansion":
         raise ValueError(f"method must be 'expansion' or 'literal', got {method!r}")
-    row = plan.sum(axis=1)
-    col = plan.sum(axis=0)
-    quad_x = float(row @ (cost_x**2) @ row)
-    quad_y = float(col @ (cost_y**2) @ col)
-    cross = float(np.sum((cost_x @ plan @ cost_y.T) * plan))
-    return quad_x + quad_y - 2.0 * cross
+    return terms.at(plan)[0]
 
 
 def gw_linearized_cost(qp: QuadraticProblem, plan: Coupling | np.ndarray) -> np.ndarray:
@@ -100,14 +114,8 @@ def gw_linearized_cost(qp: QuadraticProblem, plan: Coupling | np.ndarray) -> np.
     couplings: constant terms from the fixed marginals plus the cross
     term ``-2 Cx P Cy^T``. Entrywise nonnegative for feasible P.
     """
-    plan = _plan_array(plan)
-    cost_x = qp.geom_x.cost_matrix()
-    cost_y = qp.geom_y.cost_matrix()
-    if plan.shape != (cost_x.shape[0], cost_y.shape[0]):
-        raise ValueError(f"coupling shape {plan.shape} does not match the geometries")
-    const_x = (cost_x**2) @ qp.a
-    const_y = (cost_y**2) @ qp.b
-    return const_x[:, None] + const_y[None, :] - 2.0 * cost_x @ plan @ cost_y.T
+    terms = _SquareLoss(qp)
+    return terms.at(terms.plan(plan))[1]
 
 
 def solve_gw(
@@ -129,6 +137,9 @@ def solve_gw(
     otherwise ``eps_rel`` times the current linearized cost's mean,
     recomputed every step. Stops when the objective moves by at most
     ``outer_threshold * (1 + |cost|)``; returns the best iterate seen.
+    The cost terms are built once per solve, and each plan's product
+    ``Cx P Cy^T`` once. Under ``eps_rel``, all-zero costs stop it before
+    any step (``outer_iterations`` 0).
 
     Raises:
       DivergedError: when an inner solve blows up; the iteration index
@@ -138,19 +149,19 @@ def solve_gw(
         raise ValueError("outer_iters must be >= 1")
     if not (outer_threshold > 0):
         raise ValueError("outer_threshold must be positive")
-    if eps is not None and not (eps > 0):
-        raise ValueError("eps must be positive")
-    if not (eps_rel > 0):
-        raise ValueError("eps_rel must be positive")
+    if eps is not None and not (0 < eps < np.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not (0 < eps_rel < np.inf):
+        raise ValueError(f"eps_rel must be positive and finite, got {eps_rel!r}")
+    terms = _SquareLoss(qp)
     plan = np.outer(qp.a, qp.b)
-    trace = [gw_objective(qp, plan)]
+    cost_t, lin_cost = terms.at(plan)
+    trace = [cost_t]
     best_cost = trace[0]
     best_plan = plan
     converged = False
     g_prev = None
-    t = 0
     for t in range(1, outer_iters + 1):
-        lin_cost = gw_linearized_cost(qp, plan)
         eps_t = eps if eps is not None else eps_rel * float(lin_cost.mean())
         if not (eps_t > 0):
             # Degenerate all-zero surrogate: any feasible plan is optimal.
@@ -176,8 +187,8 @@ def solve_gw(
         except DivergedError as exc:
             raise DivergedError("inner Sinkhorn solve diverged", iteration=t) from exc
         g_prev = out.g
-        plan = transport_matrix(out, lin_prob).matrix
-        cost_t = gw_objective(qp, plan)
+        plan = terms.plan(transport_matrix(out, lin_prob))
+        cost_t, lin_cost = terms.at(plan)
         trace.append(cost_t)
         if cost_t < best_cost:
             best_cost = cost_t
@@ -186,11 +197,11 @@ def solve_gw(
             converged = True
             break
     if not converged:
-        logger.info("gw: no convergence after %d outer iterations", t)
+        logger.info("gw: no convergence after %d outer iterations", outer_iters)
     return GWOutput(
         coupling=Coupling(best_plan),
         gw_cost=best_cost,
-        outer_iterations=t,
+        outer_iterations=len(trace) - 1,
         cost_trace=np.asarray(trace),
         converged=converged,
     )

@@ -48,8 +48,8 @@ class SoftSortSpec:
     def __post_init__(self):
         if self.num_targets is not None and self.num_targets < 1:
             raise ValueError("num_targets must be >= 1")
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
+        if not (0 < self.eps < np.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if self.squash not in ("minmax", "none"):
             raise ValueError(f"squash must be 'minmax' or 'none', got {self.squash!r}")
 

@@ -21,6 +21,21 @@ def lse_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def cost_matrix_calls(monkeypatch) -> list:
+    """Records every cost_matrix call, by backend; the backends share the
+    method of the Geometry base."""
+    calls = []
+    original = Geometry.cost_matrix
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Geometry, "cost_matrix", spy)
+    return calls
+
+
+@pytest.fixture
 def log_domain(monkeypatch):
     """Call it to make every backend's kernel builder decline, so that the
     solves that follow run in the log domain, the reference."""

@@ -175,6 +175,8 @@ def test_problem_validation():
         BarycenterProblem(DenseGeometry(np.zeros((2, 3))), good)
     with pytest.raises(ValueError):
         solve_barycenter(BarycenterProblem(geom, good), -1.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_barycenter(BarycenterProblem(geom, good), float("inf"))
 
 
 def tiny_eps_problem(kind):

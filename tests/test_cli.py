@@ -170,11 +170,18 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
         ["quad", "--x", "{x}", "--y", "{y}", "--eps", "1", "--eps-rel", "1"],
         ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "-1"],
         ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "0"],
+        ["lin", "--x", "{x}", "--y", "{y}", "--eps", "inf"],
+        ["lin", "--x", "{x}", "--y", "{y}", "--eps-rel", "inf"],
+        ["quad", "--x", "{x}", "--y", "{y}", "--eps", "inf"],
+        ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "inf"],
+        ["softsort", "--values", "3,1,2", "--eps", "inf"],
+        ["barycenter", "--support", "{x}", "--hist", "{h}", "--hist", "{h}", "--eps", "inf"],
     ],
 )
 def test_input_errors_exit_one(tmp_path, capsys, two_point_files, argv):
     x, y = two_point_files
-    argv = [token.format(x=x, y=y) for token in argv]
+    h = write_csv(tmp_path / "h.csv", [0.25, 0.75])
+    argv = [token.format(x=x, y=y, h=h) for token in argv]
     code, payload, err = run(capsys, argv)
     assert code == 1
     assert payload is None
@@ -304,6 +311,16 @@ def test_quad_solver_flags_match_the_library_bitwise(tmp_path, capsys, flags, kw
         "converged": out.converged,
         "cost_trace": out.cost_trace.tolist(),
     }
+
+
+def test_quad_reports_no_step_when_every_cost_is_zero(tmp_path, capsys):
+    x = write_csv(tmp_path / "x.csv", [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    y = write_csv(tmp_path / "y.csv", [[0.5]])
+    code, payload, _ = run(capsys, ["quad", "--x", x, "--y", y])
+    assert code == 0
+    assert payload["outer_iterations"] == 0
+    assert payload["cost_trace"] == [0.0]
+    assert len(payload["cost_trace"]) == payload["outer_iterations"] + 1
 
 
 # ---- barycenter ----

@@ -329,6 +329,9 @@ def test_epsilon_schedule_constant_when_unscaled():
         {"target": 1.0, "decay": 0.0},
         {"target": 1.0, "decay": 1.5},
         {"target": 1.0, "init_scale": 10.0, "decay": 1.0},
+        {"target": float("inf")},
+        {"target": 1.0, "init_scale": float("nan"), "decay": 0.5},
+        {"target": 1.0, "init_scale": float("inf"), "decay": 0.5},
     ],
 )
 def test_epsilon_schedule_rejects_bad_parameters(kwargs):

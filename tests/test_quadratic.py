@@ -118,6 +118,41 @@ def test_two_point_stretch_matches_the_stationary_value():
     assert abs(out.gw_cost - 0.5) <= 0.05
 
 
+def test_returned_cost_is_the_objective_of_the_returned_coupling_exactly():
+    rng = np.random.default_rng(23)
+    for n, m in ((5, 4), (12, 9)):
+        qp = random_symmetric_problem(rng, n, m)
+        out = solve_gw(qp)
+        assert out.gw_cost == gw_objective(qp, out.coupling)
+
+
+def test_solve_builds_each_cost_matrix_once(cost_matrix_calls):
+    rng = np.random.default_rng(3)
+    pts = rng.random((12, 2))
+    qp = QuadraticProblem(PointCloudGeometry(pts, pts), PointCloudGeometry(pts[::-1], pts[::-1]))
+    out = solve_gw(qp, outer_iters=5, outer_threshold=1e-300)
+    assert out.outer_iterations == 5 and len(out.cost_trace) == 6
+    assert cost_matrix_calls == ["PointCloudGeometry"] * 2
+
+
+@pytest.mark.parametrize(
+    "geoms",
+    [
+        (DenseGeometry(np.zeros((3, 3))), DenseGeometry(np.zeros((2, 2)))),
+        (
+            PointCloudGeometry(np.ones((3, 2)), np.ones((3, 2))),
+            PointCloudGeometry(np.ones((1, 4)), np.ones((1, 4))),
+        ),
+    ],
+)
+def test_all_zero_costs_exit_before_any_step(geoms):
+    out = solve_gw(QuadraticProblem(*geoms))
+    assert out.converged
+    assert out.outer_iterations == 0
+    npt.assert_array_equal(out.cost_trace, [0.0])
+    assert out.gw_cost == 0.0
+
+
 def test_returned_cost_evaluates_the_returned_coupling():
     rng = np.random.default_rng(22)
     qp = random_symmetric_problem(rng, 5, 4)
@@ -183,10 +218,16 @@ def test_problem_rejects_asymmetric_self_costs():
         QuadraticProblem(DenseGeometry(lopsided), DenseGeometry(np.zeros((2, 2))))
 
 
-@pytest.mark.parametrize("eps_rel", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("eps_rel", [-1.0, 0.0, float("nan"), float("inf")])
 def test_solve_gw_rejects_a_nonpositive_eps_rel(eps_rel):
     with pytest.raises(ValueError, match="eps_rel"):
         solve_gw(stretched_pair(), eps_rel=eps_rel)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_solve_gw_rejects_an_eps_that_is_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_gw(stretched_pair(), eps=eps)
 
 
 def test_problem_rejects_invalid_weights():

@@ -282,6 +282,9 @@ def test_solver_rejects_nonpositive_eps():
     prob = LinearProblem(DenseGeometry(np.ones((2, 2))))
     with pytest.raises(ValueError):
         solve_sinkhorn(prob, 0.0)
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            solve_sinkhorn(prob, eps)
     with pytest.raises(ValueError):
         solve_sinkhorn(prob, 1.0, threshold=0.0)
     with pytest.raises(ValueError):

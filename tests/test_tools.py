@@ -118,6 +118,8 @@ def test_spec_validation():
         SoftSortSpec(num_targets=0)
     with pytest.raises(ValueError):
         SoftSortSpec(eps=0.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        SoftSortSpec(eps=float("inf"))
     with pytest.raises(ValueError):
         SoftSortSpec(squash="sigmoid")
     with pytest.raises(ValueError):
