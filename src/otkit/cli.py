@@ -313,8 +313,8 @@ def _parse_sweep(raw: str) -> list[float]:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise _InputError(f"--eps-sweep must be LO,HI,COUNT, got {raw!r}") from None
-    if lo <= 0 or hi < lo or count < 1:
-        raise _InputError("--eps-sweep needs 0 < LO <= HI and COUNT >= 1")
+    if not (0 < lo <= hi < np.inf) or count < 1:
+        raise _InputError("--eps-sweep needs 0 < LO <= HI < inf and COUNT >= 1")
     return [float(e) for e in np.geomspace(lo, hi, count)]
 
 

@@ -87,6 +87,12 @@ def _check_vector(v: np.ndarray, size: int, name: str) -> np.ndarray:
     return v
 
 
+def _check_epsilon_default(eps: float | None) -> float | None:
+    if eps is not None and not (0 < eps < np.inf):
+        raise ValueError(f"epsilon_default must be positive and finite, got {eps!r}")
+    return eps
+
+
 def _check_potential(p: np.ndarray, size: int, name: str) -> np.ndarray:
     # Potentials may carry -inf (zero-weight locations); NaN and +inf may not.
     p = np.asarray(p, dtype=float)
@@ -288,11 +294,9 @@ class DenseGeometry(Geometry):
             raise ValueError(f"cost must be a non-empty 2-D array, got shape {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("cost matrix contains non-finite entries")
-        if epsilon_default is not None and not (epsilon_default > 0):
-            raise ValueError("epsilon_default must be positive")
         self._cost = cost
         self._shape = cost.shape
-        self._epsilon_default = epsilon_default
+        self._epsilon_default = _check_epsilon_default(epsilon_default)
 
     def mean_cost(self) -> float:
         return float(self._cost.mean())
@@ -348,8 +352,6 @@ class PointCloudGeometry(Geometry):
             raise ValueError("points contain non-finite entries")
         if cost_fn not in COST_FNS:
             raise ValueError(f"cost_fn must be one of {COST_FNS}, got {cost_fn!r}")
-        if epsilon_default is not None and not (epsilon_default > 0):
-            raise ValueError("epsilon_default must be positive")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         if cost_fn == "cosine":
@@ -360,7 +362,7 @@ class PointCloudGeometry(Geometry):
         self.cost_fn = cost_fn
         self.block_size = int(block_size)
         self._shape = (x.shape[0], y.shape[0])
-        self._epsilon_default = epsilon_default
+        self._epsilon_default = _check_epsilon_default(epsilon_default)
         # Same point set on both sides: enforce an exactly zero diagonal,
         # which pairwise formulas only give up to rounding.
         self._same_points = x is y or (x.shape == y.shape and np.array_equal(x, y))
@@ -468,14 +470,12 @@ class GridGeometry(Geometry):
                 raise ValueError(f"cost matrix {k} must be {ax.size}x{ax.size}, got {c.shape}")
             if not np.all(np.isfinite(c)):
                 raise ValueError(f"cost matrix {k} contains non-finite entries")
-        if epsilon_default is not None and not (epsilon_default > 0):
-            raise ValueError("epsilon_default must be positive")
         self.axes = axes
         self.cost_matrices = cost_matrices
         self.grid_shape = tuple(ax.size for ax in axes)
         total = int(np.prod(self.grid_shape))
         self._shape = (total, total)
-        self._epsilon_default = epsilon_default
+        self._epsilon_default = _check_epsilon_default(epsilon_default)
 
     def mean_cost(self) -> float:
         # The mean of a separable cost is the sum of per-axis means: exact

@@ -3,8 +3,10 @@
 The factors Q (n x r), R (m x r) and the shared inner marginal g (r,)
 are optimized by mirror descent on the transport cost, where every step
 is followed by a Dykstra-style alternating-scaling projection onto the
-three marginal constraints Q1 = a, R1 = b, Q^T 1 = R^T 1 = g. All
-projection arithmetic runs in the log domain.
+three marginal constraints Q1 = a, R1 = b, Q^T 1 = R^T 1 = g. The
+projection sweeps on scalings u = a / (K v), the rank-length recursion
+kept in logs, and restarts in the log domain when a product leaves
+float64's normal range.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ __all__ = ["LowRankFactors", "LowRankOutput", "solve_lr_sinkhorn", "lr_coupling"
 _G_FLOOR = 1e-10
 _DYKSTRA_MAX_SWEEPS = 100
 _DYKSTRA_TOL = 1e-9
+# Scaling sweeps keep v and K^T u within [tiny, max / rank].
+_LOG_TINY = np.log(np.finfo(float).tiny)
+_LOG_MAX = np.log(np.finfo(float).max)
 # A step is only accepted when its projection residual is this small and
 # the transport cost did not go up; otherwise the step size is halved and
 # the step retried. After a clean streak the step size recovers (doubles,
@@ -80,20 +85,102 @@ def lr_coupling(factors: LowRankFactors) -> Coupling:
     return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
 
 
-def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
+def _dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
     """KL projection of factor kernels onto the marginal constraints.
 
-    Log-domain transcription of the alternating scaling recursion with
-    Dykstra correction terms. Columns of the returned factors match g
-    exactly by construction; the sweeps run until the row-marginal
-    residual is at most ``_DYKSTRA_TOL`` or ``_DYKSTRA_MAX_SWEEPS`` sweeps
-    are spent, whichever comes first. The tolerance sits far below the
-    step acceptance level ``_PROJECTION_ACCEPT`` because the descent test
+    The alternating scaling recursion with Dykstra correction terms.
+    Columns of the returned factors match g exactly by construction; the
+    sweeps run until the row-marginal residual is at most
+    ``_DYKSTRA_TOL`` or ``_DYKSTRA_MAX_SWEEPS`` sweeps are spent,
+    whichever comes first. The tolerance sits far below the step
+    acceptance level ``_PROJECTION_ACCEPT`` because the descent test
     compares costs within ``_DESCENT_SLACK``: projections stopped at the
     acceptance level leave cost errors above that slack, and a rank-1
-    solve then finds no acceptable first step. Returns the factor logs
+    solve then finds no acceptable first step. The sweeps run on
+    scalings (``_scaling_dykstra``); when those decline, the projection
+    restarts from the same inputs in the log domain (``_log_dykstra``,
+    the reference) and returns exactly what that returns. Floating-point
+    warnings are off in both: a too-large step overflows, and the step
+    backoff of ``solve_lr_sinkhorn`` handles it. Returns the factor logs
     plus the final row-marginal residual.
     """
+    with np.errstate(all="ignore"):
+        result = _scaling_dykstra(lk1, lk2, lk3, a, b)
+        if result is None:
+            logger.debug("lowrank: a projection product left the normal range; projecting in the log domain")
+            result = _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b)
+    return result
+
+
+def _shifted_kernel(lk, w):
+    """``(exp(lk - c), c)``, c the row maxima of ``lk``; rows of zero
+    weight get c = 0 and a kernel row of ones."""
+    c = np.where(w > 0, lk.max(axis=1), 0.0)
+    return np.exp(np.where(w[:, None] > 0, lk - c[:, None], 0.0)), c
+
+
+def _scaling_dykstra(lk1, lk2, lk3, a, b):
+    """``_log_dykstra``'s sweeps with the n x r products taken on scalings
+    u = a / (K v) and v, the rank-length recursion kept in logs; None
+    from the first product outside float64's normal range on, or on a
+    non-finite residual.
+
+    Each kernel row is shifted by its max. The shift cancels between u
+    and K^T u and returns in the factor logs; zero-weight rows hold ones
+    and keep u = 0.
+    """
+    rank = lk3.size
+    log_hi = _LOG_MAX - np.log(rank)
+    k1, c1 = _shifted_kernel(lk1, a)
+    k2, c2 = _shifted_kernel(lk2, b)
+    lv1t = np.zeros(rank)
+    lv2t = np.zeros(rank)
+    lq1 = np.zeros(rank)
+    lq2 = np.zeros(rank)
+    lq3_1 = np.zeros(rank)
+    lq3_2 = np.zeros(rank)
+    lgt = lk3.copy()
+    log_floor = np.log(_G_FLOOR)
+    # K v at v = 1; the residual of one sweep computes those of the next.
+    kv1 = k1.sum(axis=1)
+    kv2 = k2.sum(axis=1)
+    for _ in range(_DYKSTRA_MAX_SWEEPS):
+        u1 = a / kv1
+        u2 = b / kv2
+        lg = np.maximum(log_floor, lgt + lq3_1)
+        lq3_1 = lgt + lq3_1 - lg
+        lgt = lg
+        lktu1 = np.log(u1 @ k1)
+        lktu2 = np.log(u2 @ k2)
+        lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
+        lv1 = lg - lktu1
+        lv2 = lg - lktu2
+        lq1 = lv1t + lq1 - lv1
+        lq2 = lv2t + lq2 - lv2
+        lq3_2 = lgt + lq3_2 - lg
+        lv1t, lv2t, lgt = lv1, lv2, lg
+        # A positive-weight row of the shifted kernel holds an entry 1, so
+        # min(v) <= K v <= rank * max(v): v and K^T u in [tiny, max / rank]
+        # keep the n- and m-length products K v in range too, and u at
+        # most 1 / tiny, with no reduction over them.
+        span = np.concatenate((lktu1, lktu2, lv1, lv2))
+        if not (span.min() >= _LOG_TINY and span.max() <= log_hi):
+            return None
+        kv1 = k1 @ np.exp(lv1)
+        kv2 = k2 @ np.exp(lv2)
+        err = np.abs(u1 * kv1 - a).sum() + np.abs(u2 * kv2 - b).sum()
+        if err <= _DYKSTRA_TOL:
+            break
+    if not err < np.inf:
+        return None
+    lq = (np.log(u1) - c1)[:, None] + lk1 + lv1[None, :]
+    lr = (np.log(u2) - c2)[:, None] + lk2 + lv2[None, :]
+    return lq, lr, lgt, float(err)
+
+
+def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
+    """``_dykstra`` in the log domain: 4 log-sum-exps over the factor
+    kernels per sweep. Callers turn floating-point warnings off."""
     rank = lk3.size
     lv1t = np.zeros(rank)
     lv2t = np.zeros(rank)
@@ -107,29 +194,28 @@ def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
     # the residual of one sweep computes those of the next.
     ls1 = _lse(lk1 + lv1t[None, :], axis=1)
     ls2 = _lse(lk2 + lv2t[None, :], axis=1)
-    with np.errstate(invalid="ignore"):
-        for _ in range(_DYKSTRA_MAX_SWEEPS):
-            lu1 = np.where(a > 0, log_a - ls1, -np.inf)
-            lu2 = np.where(b > 0, log_b - ls2, -np.inf)
-            lg = np.maximum(log_floor, lgt + lq3_1)
-            lq3_1 = lgt + lq3_1 - lg
-            lgt = lg
-            lktu1 = _lse(lk1 + lu1[:, None], axis=0)
-            lktu2 = _lse(lk2 + lu2[:, None], axis=0)
-            lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
-            lv1 = lg - lktu1
-            lv2 = lg - lktu2
-            lq1 = lv1t + lq1 - lv1
-            lq2 = lv2t + lq2 - lv2
-            lq3_2 = lgt + lq3_2 - lg
-            lv1t, lv2t, lgt = lv1, lv2, lg
-            ls1 = _lse(lk1 + lv1[None, :], axis=1)
-            ls2 = _lse(lk2 + lv2[None, :], axis=1)
-            row1 = np.exp(lu1 + ls1)
-            row2 = np.exp(lu2 + ls2)
-            err = np.abs(row1 - a).sum() + np.abs(row2 - b).sum()
-            if err <= _DYKSTRA_TOL:
-                break
+    for _ in range(_DYKSTRA_MAX_SWEEPS):
+        lu1 = np.where(a > 0, log_a - ls1, -np.inf)
+        lu2 = np.where(b > 0, log_b - ls2, -np.inf)
+        lg = np.maximum(log_floor, lgt + lq3_1)
+        lq3_1 = lgt + lq3_1 - lg
+        lgt = lg
+        lktu1 = _lse(lk1 + lu1[:, None], axis=0)
+        lktu2 = _lse(lk2 + lu2[:, None], axis=0)
+        lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
+        lv1 = lg - lktu1
+        lv2 = lg - lktu2
+        lq1 = lv1t + lq1 - lv1
+        lq2 = lv2t + lq2 - lv2
+        lq3_2 = lgt + lq3_2 - lg
+        lv1t, lv2t, lgt = lv1, lv2, lg
+        ls1 = _lse(lk1 + lv1[None, :], axis=1)
+        ls2 = _lse(lk2 + lv2[None, :], axis=1)
+        row1 = np.exp(lu1 + ls1)
+        row2 = np.exp(lu2 + ls2)
+        err = np.abs(row1 - a).sum() + np.abs(row2 - b).sum()
+        if err <= _DYKSTRA_TOL:
+            break
     lq = lu1[:, None] + lk1 + lv1[None, :]
     lr = lu2[:, None] + lk2 + lv2[None, :]
     return lq, lr, lgt, float(err)
@@ -174,6 +260,9 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
         r0 = _INIT_DIAG_BLEND * np.outer(prob.b, w)
         r0[np.arange(m), groups] += (1.0 - _INIT_DIAG_BLEND) * prob.b
         r0 *= np.exp(_INIT_JITTER * rng.standard_normal(r0.shape))
+        # Zero-weight rows of b are zero here; any positive row keeps
+        # their logs at -inf instead of NaN.
+        r0[prob.b == 0] = 1.0
     else:
         q0 = rng.random((n, rank)) + 0.5
         r0 = rng.random((m, rank)) + 0.5
@@ -233,7 +322,7 @@ def solve_lr_sinkhorn(
         log_b = np.log(b)
 
     lq, lr, lg = _initial_factors(prob, rank, seed, cost, log_a, log_b)
-    lq, lr, lg, _ = _log_dykstra(lq, lr, lg, log_a, log_b, a, b)
+    lq, lr, lg, _ = _dykstra(lq, lr, lg, log_a, log_b, a, b)
     q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
     # cost @ (r / g) is both the transport cost's product and the next
     # step's q-gradient, so each accepted iterate computes it once.
@@ -259,7 +348,7 @@ def solve_lr_sinkhorn(
         # hit its resolution limit and the last iterate is the answer.
         saw_finite = False
         for _ in range(_MAX_BACKOFFS_PER_STEP):
-            lq_new, lr_new, lg_new, residual = _log_dykstra(
+            lq_new, lr_new, lg_new, residual = _dykstra(
                 lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, log_a, log_b, a, b
             )
             if np.isfinite(residual):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from otkit import DenseGeometry, Geometry, GridGeometry, PointCloudGeometry
+from otkit import DenseGeometry, Geometry, GridGeometry, PointCloudGeometry, lowrank
 
 
 @pytest.fixture
@@ -37,11 +37,13 @@ def cost_matrix_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def log_domain(monkeypatch):
-    """Call it to make every backend's kernel builder decline, so that the
-    solves that follow run in the log domain, the reference."""
+    """Call it to make every backend's kernel builder and the low-rank
+    projection's scaling sweeps decline, so that the solves that follow
+    run in the log domain, the reference."""
 
     def force():
         for cls in (Geometry, GridGeometry):
             monkeypatch.setattr(cls, "_gibbs", lambda self, eps, old: None)
+        monkeypatch.setattr(lowrank, "_scaling_dykstra", lambda *args: None)
 
     return force

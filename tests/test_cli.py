@@ -175,9 +175,11 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
         ["quad", "--x", "{x}", "--y", "{y}", "--eps", "inf"],
         ["quad", "--x", "{x}", "--y", "{y}", "--eps-rel", "inf"],
         ["softsort", "--values", "3,1,2", "--eps", "inf"],
+        ["softsort", "--values", "1,2,3", "--eps-sweep", "1e-2,inf,3"],
         ["barycenter", "--support", "{x}", "--hist", "{h}", "--hist", "{h}", "--eps", "inf"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_input_errors_exit_one(tmp_path, capsys, two_point_files, argv):
     x, y = two_point_files
     h = write_csv(tmp_path / "h.csv", [0.25, 0.75])

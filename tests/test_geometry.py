@@ -276,6 +276,18 @@ def test_epsilon_default_is_a_fraction_of_the_mean_cost():
     assert geom.epsilon_default == DEFAULT_EPSILON_SCALE * cost.mean()
 
 
+@pytest.mark.parametrize("backend", ["dense", "pointcloud", "grid"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+def test_epsilon_default_must_be_positive_and_finite(backend, value):
+    build = {
+        "dense": lambda: DenseGeometry(np.ones((2, 2)), epsilon_default=value),
+        "pointcloud": lambda: PointCloudGeometry(np.zeros((2, 1)), np.ones((2, 1)), epsilon_default=value),
+        "grid": lambda: GridGeometry([np.array([0.0, 1.0])], epsilon_default=value),
+    }[backend]
+    with pytest.raises(ValueError, match="^epsilon_default must be positive"):
+        build()
+
+
 def test_subsampled_mean_cost_is_deterministic_and_close():
     rng = np.random.default_rng(6)
     x = rng.random((100, 2))

@@ -9,6 +9,7 @@ from otkit import (
     LinearProblem,
     LowRankFactors,
     PointCloudGeometry,
+    lowrank,
     lr_coupling,
     solve_lr_sinkhorn,
 )
@@ -159,3 +160,60 @@ def test_lr_coupling_rejects_nonpositive_inner_marginal():
 def test_factor_shape_mismatch_is_rejected():
     with pytest.raises(ValueError):
         LowRankFactors(np.ones((3, 2)), np.ones((4, 1)), np.ones(2))
+
+
+def _zero_weight_problem():
+    rng = np.random.default_rng(3)
+    geom = PointCloudGeometry(rng.random((5, 2)), rng.random((4, 2)))
+    a = rng.random(5) + 0.2
+    a[1] = 0.0
+    b = rng.random(4) + 0.2
+    b[2] = 0.0
+    return LinearProblem(geom, a / a.sum(), b / b.sum())
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_scaling_projection_matches_the_log_domain(rank, log_domain):
+    prob = _zero_weight_problem()
+    out = solve_lr_sinkhorn(prob, rank)
+    log_domain()
+    ref = solve_lr_sinkhorn(prob, rank)
+    assert out.iterations == ref.iterations
+    assert out.converged == ref.converged
+    npt.assert_allclose(out.costs, ref.costs, rtol=1e-12, atol=0)
+
+
+def test_zero_target_weights_keep_zero_factor_rows():
+    prob = _zero_weight_problem()
+    out = solve_lr_sinkhorn(prob, 2)
+    assert np.all(np.isfinite(out.costs))
+    assert np.all(out.factors.q[1] == 0.0)
+    assert np.all(out.factors.r[2] == 0.0)
+
+
+def test_projection_out_of_the_normal_range_falls_back_to_the_log_domain():
+    # Each kernel row spans more than float64's range, and the second
+    # column sits 2,000 below every row's max, so K^T u underflows on
+    # scalings while the log domain represents it.
+    lk1 = np.array([[0.0, -2000.0], [-1.0, -2001.0], [0.5, -1999.5]])
+    lk2 = np.array([[0.0, -2000.0], [0.3, -2000.0]])
+    lk3 = np.log([0.5, 0.5])
+    a = np.array([0.2, 0.3, 0.5])
+    b = np.array([0.6, 0.4])
+    args = (lk1, lk2, lk3, np.log(a), np.log(b), a, b)
+    with np.errstate(all="ignore"):
+        assert lowrank._scaling_dykstra(lk1, lk2, lk3, a, b) is None
+        want = lowrank._log_dykstra(*args)
+    got = lowrank._dykstra(*args)
+    for x, y in zip(got, want):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_a_too_large_gamma_backs_off_without_warnings():
+    # Overflow in the projection is what step backoff handles, so it
+    # must not surface as a RuntimeWarning.
+    rng = np.random.default_rng(0)
+    geom = PointCloudGeometry(10 * rng.random((10, 2)), rng.random((10, 2)))
+    out = solve_lr_sinkhorn(LinearProblem(geom), 2, gamma=1e3, max_iters=50)
+    for name in ("q", "r", "g"):
+        assert np.all(np.isfinite(getattr(out.factors, name)))
