@@ -4,9 +4,9 @@ The factors Q (n x r), R (m x r) and the shared inner marginal g (r,)
 are optimized by mirror descent on the transport cost, where every step
 is followed by a Dykstra-style alternating-scaling projection onto the
 three marginal constraints Q1 = a, R1 = b, Q^T 1 = R^T 1 = g. The
-projection sweeps on scalings u = a / (K v), the rank-length recursion
-kept in logs, and restarts in the log domain when a product leaves
-float64's normal range.
+projection's rank-length recursion is written once and kept in logs. It
+takes its kernel products on scalings u = a / (K v), and restarts on
+log-domain products when one leaves float64's normal range.
 """
 
 from __future__ import annotations
@@ -80,59 +80,49 @@ class LowRankOutput:
 
 def lr_coupling(factors: LowRankFactors) -> Coupling:
     """Assembles the dense coupling q diag(1/g) r^T from the factors."""
-    if np.any(factors.g <= 0):
-        raise ValueError("inner marginal g must be strictly positive")
+    if not np.all((factors.g > 0) & (factors.g < np.inf)):
+        raise ValueError("inner marginal g must be positive and finite")
     return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
 
 
-def _dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
+def _dykstra(lk1, lk2, lk3, a, b):
     """KL projection of factor kernels onto the marginal constraints.
 
-    The alternating scaling recursion with Dykstra correction terms.
-    Columns of the returned factors match g exactly by construction; the
-    sweeps run until the row-marginal residual is at most
-    ``_DYKSTRA_TOL`` or ``_DYKSTRA_MAX_SWEEPS`` sweeps are spent,
-    whichever comes first. The tolerance sits far below the step
-    acceptance level ``_PROJECTION_ACCEPT`` because the descent test
-    compares costs within ``_DESCENT_SLACK``: projections stopped at the
-    acceptance level leave cost errors above that slack, and a rank-1
-    solve then finds no acceptable first step. The sweeps run on
-    scalings (``_scaling_dykstra``); when those decline, the projection
-    restarts from the same inputs in the log domain (``_log_dykstra``,
-    the reference) and returns exactly what that returns. Floating-point
-    warnings are off in both: a too-large step overflows, and the step
-    backoff of ``solve_lr_sinkhorn`` handles it. Returns the factor logs
-    plus the final row-marginal residual.
+    The alternating scaling recursion with Dykstra correction terms
+    (``_dykstra_sweeps``). Columns of the returned factors match g
+    exactly by construction; the sweeps run until the row-marginal
+    residual is at most ``_DYKSTRA_TOL`` or ``_DYKSTRA_MAX_SWEEPS``
+    sweeps are spent, whichever comes first. The tolerance sits far
+    below the step acceptance level ``_PROJECTION_ACCEPT`` because the
+    descent test compares costs within ``_DESCENT_SLACK``: projections
+    stopped at the acceptance level leave cost errors above that slack,
+    and a rank-1 solve then finds no acceptable first step. The sweeps
+    take their kernel products on scalings (``_ScalingProducts``); when
+    those leave float64's normal range or end on a non-finite residual,
+    the projection restarts from the same inputs on log-domain products
+    (``_LogProducts``, the reference) and returns exactly what that
+    returns. Floating-point warnings are off in both: a too-large step
+    overflows, and the step backoff of ``solve_lr_sinkhorn`` handles it.
+    Returns the factor logs plus the final row-marginal residual.
     """
     with np.errstate(all="ignore"):
-        result = _scaling_dykstra(lk1, lk2, lk3, a, b)
-        if result is None:
+        log_hi = _LOG_MAX - np.log(lk3.size)
+        result = _dykstra_sweeps(_ScalingProducts(lk1, a), _ScalingProducts(lk2, b), lk3, log_hi)
+        if result is None or not result[3] < np.inf:
             logger.debug("lowrank: a projection product left the normal range; projecting in the log domain")
-            result = _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b)
+            result = _dykstra_sweeps(_LogProducts(lk1, a), _LogProducts(lk2, b), lk3)
     return result
 
 
-def _shifted_kernel(lk, w):
-    """``(exp(lk - c), c)``, c the row maxima of ``lk``; rows of zero
-    weight get c = 0 and a kernel row of ones."""
-    c = np.where(w > 0, lk.max(axis=1), 0.0)
-    return np.exp(np.where(w[:, None] > 0, lk - c[:, None], 0.0)), c
+def _dykstra_sweeps(side1, side2, lk3, log_hi=None):
+    """The Dykstra recursion on the rank-length vectors, kept in logs.
 
-
-def _scaling_dykstra(lk1, lk2, lk3, a, b):
-    """``_log_dykstra``'s sweeps with the n x r products taken on scalings
-    u = a / (K v) and v, the rank-length recursion kept in logs; None
-    from the first product outside float64's normal range on, or on a
-    non-finite residual.
-
-    Each kernel row is shifted by its max. The shift cancels between u
-    and K^T u and returns in the factor logs; zero-weight rows hold ones
-    and keep u = 0.
+    ``side1`` and ``side2`` take the products with the two factor
+    kernels (``_ScalingProducts`` or ``_LogProducts``). Given
+    ``log_hi``, returns None from the first sweep whose v or K^T u
+    leaves [tiny, exp(log_hi)].
     """
     rank = lk3.size
-    log_hi = _LOG_MAX - np.log(rank)
-    k1, c1 = _shifted_kernel(lk1, a)
-    k2, c2 = _shifted_kernel(lk2, b)
     lv1t = np.zeros(rank)
     lv2t = np.zeros(rank)
     lq1 = np.zeros(rank)
@@ -141,17 +131,12 @@ def _scaling_dykstra(lk1, lk2, lk3, a, b):
     lq3_2 = np.zeros(rank)
     lgt = lk3.copy()
     log_floor = np.log(_G_FLOOR)
-    # K v at v = 1; the residual of one sweep computes those of the next.
-    kv1 = k1.sum(axis=1)
-    kv2 = k2.sum(axis=1)
     for _ in range(_DYKSTRA_MAX_SWEEPS):
-        u1 = a / kv1
-        u2 = b / kv2
         lg = np.maximum(log_floor, lgt + lq3_1)
         lq3_1 = lgt + lq3_1 - lg
         lgt = lg
-        lktu1 = np.log(u1 @ k1)
-        lktu2 = np.log(u2 @ k2)
+        lktu1 = side1.log_ktu()
+        lktu2 = side2.log_ktu()
         lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
         lv1 = lg - lktu1
         lv2 = lg - lktu2
@@ -163,62 +148,65 @@ def _scaling_dykstra(lk1, lk2, lk3, a, b):
         # min(v) <= K v <= rank * max(v): v and K^T u in [tiny, max / rank]
         # keep the n- and m-length products K v in range too, and u at
         # most 1 / tiny, with no reduction over them.
-        span = np.concatenate((lktu1, lktu2, lv1, lv2))
-        if not (span.min() >= _LOG_TINY and span.max() <= log_hi):
-            return None
-        kv1 = k1 @ np.exp(lv1)
-        kv2 = k2 @ np.exp(lv2)
-        err = np.abs(u1 * kv1 - a).sum() + np.abs(u2 * kv2 - b).sum()
+        if log_hi is not None:
+            span = np.concatenate((lktu1, lktu2, lv1, lv2))
+            if not (span.min() >= _LOG_TINY and span.max() <= log_hi):
+                return None
+        err = side1.residual(lv1) + side2.residual(lv2)
         if err <= _DYKSTRA_TOL:
             break
-    if not err < np.inf:
-        return None
-    lq = (np.log(u1) - c1)[:, None] + lk1 + lv1[None, :]
-    lr = (np.log(u2) - c2)[:, None] + lk2 + lv2[None, :]
-    return lq, lr, lgt, float(err)
+    return side1.factor_log(lv1), side2.factor_log(lv2), lgt, float(err)
 
 
-def _log_dykstra(lk1, lk2, lk3, log_a, log_b, a, b):
-    """``_dykstra`` in the log domain: 4 log-sum-exps over the factor
-    kernels per sweep. Callers turn floating-point warnings off."""
-    rank = lk3.size
-    lv1t = np.zeros(rank)
-    lv2t = np.zeros(rank)
-    lq1 = np.zeros(rank)
-    lq2 = np.zeros(rank)
-    lq3_1 = np.zeros(rank)
-    lq3_2 = np.zeros(rank)
-    lgt = lk3.copy()
-    log_floor = np.log(_G_FLOOR)
-    # Row log-sum-exps of the factor kernels against the column scalings;
-    # the residual of one sweep computes those of the next.
-    ls1 = _lse(lk1 + lv1t[None, :], axis=1)
-    ls2 = _lse(lk2 + lv2t[None, :], axis=1)
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        lu1 = np.where(a > 0, log_a - ls1, -np.inf)
-        lu2 = np.where(b > 0, log_b - ls2, -np.inf)
-        lg = np.maximum(log_floor, lgt + lq3_1)
-        lq3_1 = lgt + lq3_1 - lg
-        lgt = lg
-        lktu1 = _lse(lk1 + lu1[:, None], axis=0)
-        lktu2 = _lse(lk2 + lu2[:, None], axis=0)
-        lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
-        lv1 = lg - lktu1
-        lv2 = lg - lktu2
-        lq1 = lv1t + lq1 - lv1
-        lq2 = lv2t + lq2 - lv2
-        lq3_2 = lgt + lq3_2 - lg
-        lv1t, lv2t, lgt = lv1, lv2, lg
-        ls1 = _lse(lk1 + lv1[None, :], axis=1)
-        ls2 = _lse(lk2 + lv2[None, :], axis=1)
-        row1 = np.exp(lu1 + ls1)
-        row2 = np.exp(lu2 + ls2)
-        err = np.abs(row1 - a).sum() + np.abs(row2 - b).sum()
-        if err <= _DYKSTRA_TOL:
-            break
-    lq = lu1[:, None] + lk1 + lv1[None, :]
-    lr = lu2[:, None] + lk2 + lv2[None, :]
-    return lq, lr, lgt, float(err)
+class _ScalingProducts:
+    """One factor kernel's products on scalings u = w / (K v) and v.
+
+    The kernel rows are shifted by their maxima c. The shift cancels
+    between u and K^T u and returns in the factor logs; zero-weight rows
+    get c = 0 and a kernel row of ones, and keep u = 0.
+    """
+
+    def __init__(self, lk, w):
+        self.lk = lk
+        self.w = w
+        self.c = np.where(w > 0, lk.max(axis=1), 0.0)
+        self.k = np.exp(np.where(w[:, None] > 0, lk - self.c[:, None], 0.0))
+        # K v at v = 1; the residual of one sweep computes the next.
+        self.kv = self.k.sum(axis=1)
+
+    def log_ktu(self):
+        self.u = self.w / self.kv
+        return np.log(self.u @ self.k)
+
+    def residual(self, lv):
+        self.kv = self.k @ np.exp(lv)
+        return np.abs(self.u * self.kv - self.w).sum()
+
+    def factor_log(self, lv):
+        return (np.log(self.u) - self.c)[:, None] + self.lk + lv[None, :]
+
+
+class _LogProducts:
+    """One factor kernel's products in the log domain, the reference."""
+
+    def __init__(self, lk, w):
+        self.lk = lk
+        self.w = w
+        self.log_w = np.log(w)
+        # Row log-sum-exps against v = 1; the residual of one sweep
+        # computes the next.
+        self.ls = _lse(lk, axis=1)
+
+    def log_ktu(self):
+        self.lu = np.where(self.w > 0, self.log_w - self.ls, -np.inf)
+        return _lse(self.lk + self.lu[:, None], axis=0)
+
+    def residual(self, lv):
+        self.ls = _lse(self.lk + lv[None, :], axis=1)
+        return np.abs(np.exp(self.lu + self.ls) - self.w).sum()
+
+    def factor_log(self, lv):
+        return self.lu[:, None] + self.lk + lv[None, :]
 
 
 def _initial_factors(prob, rank, seed, cost, log_a, log_b):
@@ -305,14 +293,17 @@ def solve_lr_sinkhorn(
       trace (one entry per iterate, starting with the initial point).
 
     Raises:
+      ValueError: on a rank, gamma, threshold or iteration cap out of range.
       DivergedError: if factors turn NaN, typically a too-large gamma.
     """
     n, m = prob.geom.shape
     rank = int(rank)
     if rank < 1 or rank > min(n, m):
         raise ValueError(f"rank must lie in [1, {min(n, m)}], got {rank}")
-    if gamma is not None and not (gamma > 0):
-        raise ValueError("gamma must be positive")
+    if gamma is not None and not (0 < gamma < np.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if not (threshold > 0):
+        raise ValueError("threshold must be positive")
     if max_iters < 1 or inner_iters < 1:
         raise ValueError("max_iters and inner_iters must be >= 1")
     cost = prob.geom.cost_matrix()
@@ -322,7 +313,7 @@ def solve_lr_sinkhorn(
         log_b = np.log(b)
 
     lq, lr, lg = _initial_factors(prob, rank, seed, cost, log_a, log_b)
-    lq, lr, lg, _ = _dykstra(lq, lr, lg, log_a, log_b, a, b)
+    lq, lr, lg, _ = _dykstra(lq, lr, lg, a, b)
     q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
     # cost @ (r / g) is both the transport cost's product and the next
     # step's q-gradient, so each accepted iterate computes it once.
@@ -349,7 +340,7 @@ def solve_lr_sinkhorn(
         saw_finite = False
         for _ in range(_MAX_BACKOFFS_PER_STEP):
             lq_new, lr_new, lg_new, residual = _dykstra(
-                lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, log_a, log_b, a, b
+                lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b
             )
             if np.isfinite(residual):
                 saw_finite = True

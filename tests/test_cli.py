@@ -177,6 +177,7 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
         ["softsort", "--values", "3,1,2", "--eps", "inf"],
         ["softsort", "--values", "1,2,3", "--eps-sweep", "1e-2,inf,3"],
         ["barycenter", "--support", "{x}", "--hist", "{h}", "--hist", "{h}", "--eps", "inf"],
+        ["lin", "--x", "{x}", "--y", "{y}", "--solver", "lr", "--rank", "1", "--threshold", "-1"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -152,9 +152,12 @@ def test_rank_bounds_are_enforced():
 
 
 def test_lr_coupling_rejects_nonpositive_inner_marginal():
-    factors = LowRankFactors(np.ones((2, 1)), np.ones((2, 1)), np.array([0.0]))
-    with pytest.raises(ValueError):
-        lr_coupling(factors)
+    # A NaN g would give an all-NaN coupling and an infinite one an
+    # all-zero coupling that has lost its mass.
+    for g in (0.0, np.nan, np.inf):
+        factors = LowRankFactors(np.ones((2, 1)), np.ones((2, 1)), np.array([g]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            lr_coupling(factors)
 
 
 def test_factor_shape_mismatch_is_rejected():
@@ -200,11 +203,13 @@ def test_projection_out_of_the_normal_range_falls_back_to_the_log_domain():
     lk3 = np.log([0.5, 0.5])
     a = np.array([0.2, 0.3, 0.5])
     b = np.array([0.6, 0.4])
-    args = (lk1, lk2, lk3, np.log(a), np.log(b), a, b)
     with np.errstate(all="ignore"):
-        assert lowrank._scaling_dykstra(lk1, lk2, lk3, a, b) is None
-        want = lowrank._log_dykstra(*args)
-    got = lowrank._dykstra(*args)
+        scaling = lowrank._ScalingProducts(lk1, a), lowrank._ScalingProducts(lk2, b)
+        log_hi = lowrank._LOG_MAX - np.log(lk3.size)
+        assert lowrank._dykstra_sweeps(*scaling, lk3, log_hi) is None
+        logs = lowrank._LogProducts(lk1, a), lowrank._LogProducts(lk2, b)
+        want = lowrank._dykstra_sweeps(*logs, lk3)
+    got = lowrank._dykstra(lk1, lk2, lk3, a, b)
     for x, y in zip(got, want):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
@@ -217,3 +222,30 @@ def test_a_too_large_gamma_backs_off_without_warnings():
     out = solve_lr_sinkhorn(LinearProblem(geom), 2, gamma=1e3, max_iters=50)
     for name in ("q", "r", "g"):
         assert np.all(np.isfinite(getattr(out.factors, name)))
+
+
+def _cloud_problem():
+    rng = np.random.default_rng(0)
+    return LinearProblem(PointCloudGeometry(rng.random((6, 2)), rng.random((5, 2))))
+
+
+def test_no_acceptable_first_step_returns_the_start_unconverged():
+    # Every halving of a 1e300 step still leaves a finite projection
+    # residual far above the acceptance level, so the solve stops at its
+    # first step with the projected start as its answer.
+    out = solve_lr_sinkhorn(_cloud_problem(), 2, gamma=1e300, max_iters=5)
+    assert out.iterations == 1
+    assert out.converged is False
+    assert out.costs.shape == (1,)
+    for name in ("q", "r", "g"):
+        assert np.all(np.isfinite(getattr(out.factors, name)))
+
+
+def test_gamma_and_threshold_are_validated():
+    prob = _cloud_problem()
+    for gamma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            solve_lr_sinkhorn(prob, 2, gamma=gamma)
+    for threshold in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            solve_lr_sinkhorn(prob, 2, threshold=threshold)
