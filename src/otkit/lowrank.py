@@ -2,11 +2,12 @@
 
 The factors Q (n x r), R (m x r) and the shared inner marginal g (r,)
 are optimized by mirror descent on the transport cost, where every step
-is followed by a Dykstra-style alternating-scaling projection onto the
-three marginal constraints Q1 = a, R1 = b, Q^T 1 = R^T 1 = g. The
-projection's rank-length recursion is written once and kept in logs. It
-takes its kernel products on scalings u = a / (K v), and restarts on
-log-domain products when one leaves float64's normal range.
+is followed by a KL projection onto the three marginal constraints
+Q1 = a, R1 = b, Q^T 1 = R^T 1 = g (Scetbon, Cuturi & Peyre, "Low-Rank
+Sinkhorn Factorization", 2021). The projection takes damped Newton steps
+on its dual, which has only 2r variables once the row scalings are
+solved in closed form; when Newton declines, the log-domain Dykstra
+recursion, the reference, projects instead.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["LowRankFactors", "LowRankOutput", "solve_lr_sinkhorn", "lr_coupling"]
 
-# Inner projection: floor on g, sweep cap per outer step, marginal tolerance.
+# Inner projection: floor on g, Newton step or Dykstra sweep cap, marginal
+# tolerance, and the Newton line search's halvings, sufficient-increase
+# factor and the relative rounding of the dual.
 _G_FLOOR = 1e-10
-_DYKSTRA_MAX_SWEEPS = 100
-_DYKSTRA_TOL = 1e-9
-# Scaling sweeps keep v and K^T u within [tiny, max / rank].
-_LOG_TINY = np.log(np.finfo(float).tiny)
-_LOG_MAX = np.log(np.finfo(float).max)
+_PROJECTION_MAX_STEPS = 100
+_PROJECTION_TOL = 1e-9
+_LINE_SEARCH_HALVINGS = 30
+_ARMIJO = 1e-4
+_ROUNDING = 1e-12
 # A step is only accepted when its projection residual is this small and
 # the transport cost did not go up; otherwise the step size is halved and
 # the step retried. After a clean streak the step size recovers (doubles,
@@ -85,128 +88,145 @@ def lr_coupling(factors: LowRankFactors) -> Coupling:
     return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
 
 
-def _dykstra(lk1, lk2, lk3, a, b):
+def _project(lk1, lk2, lk3, a, b):
     """KL projection of factor kernels onto the marginal constraints.
 
-    The alternating scaling recursion with Dykstra correction terms
-    (``_dykstra_sweeps``). Columns of the returned factors match g
-    exactly by construction; the sweeps run until the row-marginal
-    residual is at most ``_DYKSTRA_TOL`` or ``_DYKSTRA_MAX_SWEEPS``
-    sweeps are spent, whichever comes first. The tolerance sits far
+    Projects by Newton's method on the dual (``_newton``); when that
+    declines, projects from the same inputs by the log-domain Dykstra
+    recursion (``_dykstra``, the reference) and returns exactly what that
+    returns. Both stop once the marginals they do not match by
+    construction are within ``_PROJECTION_TOL``, Newton's columns up to
+    the weights' sum mismatch and Dykstra's rows. The tolerance sits far
     below the step acceptance level ``_PROJECTION_ACCEPT`` because the
     descent test compares costs within ``_DESCENT_SLACK``: projections
     stopped at the acceptance level leave cost errors above that slack,
-    and a rank-1 solve then finds no acceptable first step. The sweeps
-    take their kernel products on scalings (``_ScalingProducts``); when
-    those leave float64's normal range or end on a non-finite residual,
-    the projection restarts from the same inputs on log-domain products
-    (``_LogProducts``, the reference) and returns exactly what that
-    returns. Floating-point warnings are off in both: a too-large step
-    overflows, and the step backoff of ``solve_lr_sinkhorn`` handles it.
-    Returns the factor logs plus the final row-marginal residual.
+    and a rank-1 solve then finds no acceptable first step.
+    Floating-point warnings are off in both: a too-large step overflows,
+    and the step backoff of ``solve_lr_sinkhorn`` handles it. Returns the
+    factor logs plus the final marginal residual.
     """
     with np.errstate(all="ignore"):
-        log_hi = _LOG_MAX - np.log(lk3.size)
-        result = _dykstra_sweeps(_ScalingProducts(lk1, a), _ScalingProducts(lk2, b), lk3, log_hi)
-        if result is None or not result[3] < np.inf:
-            logger.debug("lowrank: a projection product left the normal range; projecting in the log domain")
-            result = _dykstra_sweeps(_LogProducts(lk1, a), _LogProducts(lk2, b), lk3)
+        result = _newton(lk1, lk2, lk3, a, b)
+        if result is None:
+            result = _dykstra(lk1, lk2, lk3, a, b)
     return result
 
 
-def _dykstra_sweeps(side1, side2, lk3, log_hi=None):
-    """The Dykstra recursion on the rank-length vectors, kept in logs.
+def _softmax_rows(z):
+    """Row softmax of z and its row log-sum-exps."""
+    hi = z.max(axis=1, keepdims=True)
+    p = np.exp(z - hi)
+    total = p.sum(axis=1, keepdims=True)
+    return p / total, (np.log(total) + hi)[:, 0]
 
-    ``side1`` and ``side2`` take the products with the two factor
-    kernels (``_ScalingProducts`` or ``_LogProducts``). Given
-    ``log_hi``, returns None from the first sweep whose v or K^T u
-    leaves [tiny, exp(log_hi)].
+
+def _newton(lk1, lk2, lk3, a, b):
+    """The projection by damped Newton steps on its 2r-variable dual.
+
+    With the row scalings solved in closed form, the duals h = (h1, h2)
+    of the two column constraints give Q = a * rowsoftmax(lk1 + h1),
+    R = b * rowsoftmax(lk2 + h2) and g = exp(lk3 - h1 - h2), so the rows
+    of Q and R match a and b exactly. The dual
+    F(h) = -a . lse(lk1 + h1) - b . lse(lk2 + h2) - sum(g) is concave,
+    with gradient (g - Q^T 1, g - R^T 1). A step along e = (1, -1)
+    changes neither Q, R nor g, so e e^T is added to the negative Hessian
+    and the stopping test ignores the gradient's e-component, which is
+    sum(b) - sum(a) at every h. Returns the factor logs and the L1 norm
+    of the gradient, the column-marginal error; returns None on a
+    singular or non-finite system, a stalled line search, a spent step
+    cap or a g below ``_G_FLOOR``, where the floored projection differs.
     """
     rank = lk3.size
-    lv1t = np.zeros(rank)
-    lv2t = np.zeros(rank)
-    lq1 = np.zeros(rank)
-    lq2 = np.zeros(rank)
-    lq3_1 = np.zeros(rank)
-    lq3_2 = np.zeros(rank)
-    lgt = lk3.copy()
-    log_floor = np.log(_G_FLOOR)
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        lg = np.maximum(log_floor, lgt + lq3_1)
-        lq3_1 = lgt + lq3_1 - lg
-        lgt = lg
-        lktu1 = side1.log_ktu()
-        lktu2 = side2.log_ktu()
-        lg = (lgt + lq3_2 + (lv1t + lq1 + lktu1) + (lv2t + lq2 + lktu2)) / 3.0
-        lv1 = lg - lktu1
-        lv2 = lg - lktu2
-        lq1 = lv1t + lq1 - lv1
-        lq2 = lv2t + lq2 - lv2
-        lq3_2 = lgt + lq3_2 - lg
-        lv1t, lv2t, lgt = lv1, lv2, lg
-        # A positive-weight row of the shifted kernel holds an entry 1, so
-        # min(v) <= K v <= rank * max(v): v and K^T u in [tiny, max / rank]
-        # keep the n- and m-length products K v in range too, and u at
-        # most 1 / tiny, with no reduction over them.
-        if log_hi is not None:
-            span = np.concatenate((lktu1, lktu2, lv1, lv2))
-            if not (span.min() >= _LOG_TINY and span.max() <= log_hi):
-                return None
-        err = side1.residual(lv1) + side2.residual(lv2)
-        if err <= _DYKSTRA_TOL:
+    rows1, rows2 = a > 0, b > 0
+    k1, a1 = lk1[rows1], a[rows1]
+    k2, b2 = lk2[rows2], b[rows2]
+    e = np.repeat([1.0, -1.0], rank)
+
+    def dual(h):
+        s1, l1 = _softmax_rows(k1 + h[:rank])
+        s2, l2 = _softmax_rows(k2 + h[rank:])
+        g = np.exp(lk3 - h[:rank] - h[rank:])
+        return -(a1 @ l1) - (b2 @ l2) - g.sum(), s1, s2, g, l1, l2
+
+    h = np.zeros(2 * rank)
+    state = dual(h)
+    for _ in range(_PROJECTION_MAX_STEPS):
+        f, s1, s2, g, l1, l2 = state
+        if not np.isfinite(f):
+            return _decline("non-finite dual")
+        q, r = a1[:, None] * s1, b2[:, None] * s2
+        col1, col2 = q.sum(axis=0), r.sum(axis=0)
+        grad = np.concatenate((g - col1, g - col2))
+        if np.abs(grad - (grad @ e / e.size) * e).sum() <= _PROJECTION_TOL:
             break
-    return side1.factor_log(lv1), side2.factor_log(lv2), lgt, float(err)
+        hess = np.tile(np.diag(g), (2, 2)) + np.outer(e, e)
+        hess[:rank, :rank] += np.diag(col1) - s1.T @ q
+        hess[rank:, rank:] += np.diag(col2) - s2.T @ r
+        try:
+            d = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return _decline("singular system")
+        slope = grad @ d
+        if not np.isfinite(slope):
+            return _decline("non-finite system")
+        # Below F's rounding the line search cannot see an increase, so
+        # the (locally quadratic) full step is taken as it is.
+        t = 1.0
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            trial = dual(h + t * d)
+            if slope <= _ROUNDING * (1.0 + abs(f)) or trial[0] >= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            return _decline("stalled line search")
+        h = h + t * d
+        state = trial
+    else:
+        return _decline("step cap")
+    if not g.min() >= _G_FLOOR:
+        return _decline("g below its floor")
+    lq = np.full(lk1.shape, -np.inf)
+    lr = np.full(lk2.shape, -np.inf)
+    lq[rows1] = np.log(a1)[:, None] + k1 + h[:rank] - l1[:, None]
+    lr[rows2] = np.log(b2)[:, None] + k2 + h[rank:] - l2[:, None]
+    return lq, lr, lk3 - h[:rank] - h[rank:], float(np.abs(grad).sum())
 
 
-class _ScalingProducts:
-    """One factor kernel's products on scalings u = w / (K v) and v.
+def _decline(reason):
+    logger.debug("lowrank: Newton projection declined (%s); projecting by Dykstra", reason)
+    return None
 
-    The kernel rows are shifted by their maxima c. The shift cancels
-    between u and K^T u and returns in the factor logs; zero-weight rows
-    get c = 0 and a kernel row of ones, and keep u = 0.
+
+def _dykstra(lk1, lk2, lk3, a, b):
+    """The projection by the log-domain Dykstra recursion, the reference.
+
+    Alternating scalings with Dykstra correction terms, also flooring g
+    at ``_G_FLOOR``. Columns of the returned factors match g exactly by
+    construction; the sweeps run until the row-marginal residual is at
+    most ``_PROJECTION_TOL`` or ``_PROJECTION_MAX_STEPS`` sweeps are
+    spent. The corrections of the two averaged constraints cancel their
+    own scalings, and the three corrections of g sum to lk3 minus g, so
+    only the floor's correction is kept.
     """
-
-    def __init__(self, lk, w):
-        self.lk = lk
-        self.w = w
-        self.c = np.where(w > 0, lk.max(axis=1), 0.0)
-        self.k = np.exp(np.where(w[:, None] > 0, lk - self.c[:, None], 0.0))
-        # K v at v = 1; the residual of one sweep computes the next.
-        self.kv = self.k.sum(axis=1)
-
-    def log_ktu(self):
-        self.u = self.w / self.kv
-        return np.log(self.u @ self.k)
-
-    def residual(self, lv):
-        self.kv = self.k @ np.exp(lv)
-        return np.abs(self.u * self.kv - self.w).sum()
-
-    def factor_log(self, lv):
-        return (np.log(self.u) - self.c)[:, None] + self.lk + lv[None, :]
-
-
-class _LogProducts:
-    """One factor kernel's products in the log domain, the reference."""
-
-    def __init__(self, lk, w):
-        self.lk = lk
-        self.w = w
-        self.log_w = np.log(w)
-        # Row log-sum-exps against v = 1; the residual of one sweep
-        # computes the next.
-        self.ls = _lse(lk, axis=1)
-
-    def log_ktu(self):
-        self.lu = np.where(self.w > 0, self.log_w - self.ls, -np.inf)
-        return _lse(self.lk + self.lu[:, None], axis=0)
-
-    def residual(self, lv):
-        self.ls = _lse(self.lk + lv[None, :], axis=1)
-        return np.abs(np.exp(self.lu + self.ls) - self.w).sum()
-
-    def factor_log(self, lv):
-        return self.lu[:, None] + self.lk + lv[None, :]
+    log_a, log_b = np.log(a), np.log(b)
+    ls1, ls2 = _lse(lk1, axis=1), _lse(lk2, axis=1)
+    lg, lq3 = lk3, np.zeros(lk3.size)
+    log_floor = np.log(_G_FLOOR)
+    for _ in range(_PROJECTION_MAX_STEPS):
+        x = lg + lq3
+        lg = np.maximum(log_floor, x)
+        lq3 = x - lg
+        lu1 = np.where(a > 0, log_a - ls1, -np.inf)
+        lu2 = np.where(b > 0, log_b - ls2, -np.inf)
+        lktu1 = _lse(lk1 + lu1[:, None], axis=0)
+        lktu2 = _lse(lk2 + lu2[:, None], axis=0)
+        lg = (lk3 - lq3 + lktu1 + lktu2) / 3.0
+        lv1, lv2 = lg - lktu1, lg - lktu2
+        ls1, ls2 = _lse(lk1 + lv1, axis=1), _lse(lk2 + lv2, axis=1)
+        err = np.abs(np.exp(lu1 + ls1) - a).sum() + np.abs(np.exp(lu2 + ls2) - b).sum()
+        if err <= _PROJECTION_TOL:
+            break
+    return lu1[:, None] + lk1 + lv1, lu2[:, None] + lk2 + lv2, lg, float(err)
 
 
 def _initial_factors(prob, rank, seed, cost, log_a, log_b):
@@ -288,6 +308,10 @@ def solve_lr_sinkhorn(
       seed: seed for the start factors (guide-plan jitter or the random
         fallback); fixed seed means a fully deterministic solve.
 
+    Each step's factors are projected back onto the marginal constraints
+    by Newton's method on the projection's dual, or by the log-domain
+    Dykstra recursion where Newton declines.
+
     Returns:
       A :class:`LowRankOutput` with the factors and the transport-cost
       trace (one entry per iterate, starting with the initial point).
@@ -313,7 +337,7 @@ def solve_lr_sinkhorn(
         log_b = np.log(b)
 
     lq, lr, lg = _initial_factors(prob, rank, seed, cost, log_a, log_b)
-    lq, lr, lg, _ = _dykstra(lq, lr, lg, a, b)
+    lq, lr, lg, _ = _project(lq, lr, lg, a, b)
     q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
     # cost @ (r / g) is both the transport cost's product and the next
     # step's q-gradient, so each accepted iterate computes it once.
@@ -332,14 +356,14 @@ def solve_lr_sinkhorn(
             gamma_cap = gamma
             logger.debug("lowrank: default gamma = %g", gamma)
         # Near a vertex the step kernels degenerate and the projection
-        # cannot reach feasibility within its sweep budget, and too-long
+        # cannot reach feasibility within its step budget, and too-long
         # steps can also overshoot the bilinear objective. Halve the
         # step and retry until the projection is clean and the cost does
         # not increase; if even tiny steps fail, the factorization has
         # hit its resolution limit and the last iterate is the answer.
         saw_finite = False
         for _ in range(_MAX_BACKOFFS_PER_STEP):
-            lq_new, lr_new, lg_new, residual = _dykstra(
+            lq_new, lr_new, lg_new, residual = _project(
                 lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b
             )
             if np.isfinite(residual):

@@ -37,13 +37,13 @@ def cost_matrix_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def log_domain(monkeypatch):
-    """Call it to make every backend's kernel builder decline and the
-    low-rank projection take its products in the log domain, so that the
-    solves that follow run in the log domain, the reference."""
+    """Call it to make every backend's kernel builder and the low-rank
+    Newton projection decline, so that the solves that follow run in the
+    log domain, the reference."""
 
     def force():
         for cls in (Geometry, GridGeometry):
             monkeypatch.setattr(cls, "_gibbs", lambda self, eps, old: None)
-        monkeypatch.setattr(lowrank, "_ScalingProducts", lowrank._LogProducts)
+        monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
 
     return force
