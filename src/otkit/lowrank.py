@@ -34,15 +34,11 @@ _PROJECTION_TOL = 1e-9
 _LINE_SEARCH_HALVINGS = 30
 _ARMIJO = 1e-4
 _ROUNDING = 1e-12
-# A step is only accepted when its projection residual is this small and
-# the transport cost did not go up; otherwise the step size is halved and
-# the step retried. After a clean streak the step size recovers (doubles,
-# capped at its starting value) so one bad stretch does not pin the
-# iteration at a microscopic step forever.
+# A step is only accepted when its projection residual is this small;
+# otherwise the step size is halved, for this and every later step, and
+# the step retried.
 _PROJECTION_ACCEPT = 5e-7
 _MAX_BACKOFFS_PER_STEP = 10
-_RECOVERY_WINDOW = 25
-_DESCENT_SLACK = 1e-9
 # Starting factors are carved out of a moderately blurred entropic plan;
 # the blur keeps the guide solve cheap and stable while its support still
 # points at the right basin of the (nonconvex) factored problem.
@@ -96,14 +92,10 @@ def _project(lk1, lk2, lk3, a, b):
     recursion (``_dykstra``, the reference) and returns exactly what that
     returns. Both stop once the marginals they do not match by
     construction are within ``_PROJECTION_TOL``, Newton's columns up to
-    the weights' sum mismatch and Dykstra's rows. The tolerance sits far
-    below the step acceptance level ``_PROJECTION_ACCEPT`` because the
-    descent test compares costs within ``_DESCENT_SLACK``: projections
-    stopped at the acceptance level leave cost errors above that slack,
-    and a rank-1 solve then finds no acceptable first step.
-    Floating-point warnings are off in both: a too-large step overflows,
-    and the step backoff of ``solve_lr_sinkhorn`` handles it. Returns the
-    factor logs plus the final marginal residual.
+    the weights' sum mismatch and Dykstra's rows. Floating-point warnings
+    are off in both: a too-large step overflows, and the step backoff of
+    ``solve_lr_sinkhorn`` handles it. Returns the factor logs plus the
+    final marginal residual.
     """
     with np.errstate(all="ignore"):
         result = _newton(lk1, lk2, lk3, a, b)
@@ -131,10 +123,14 @@ def _newton(lk1, lk2, lk3, a, b):
     with gradient (g - Q^T 1, g - R^T 1). A step along e = (1, -1)
     changes neither Q, R nor g, so e e^T is added to the negative Hessian
     and the stopping test ignores the gradient's e-component, which is
-    sum(b) - sum(a) at every h. Returns the factor logs and the L1 norm
-    of the gradient, the column-marginal error; returns None on a
-    singular or non-finite system, a stalled line search, a spent step
-    cap or a g below ``_G_FLOOR``, where the floored projection differs.
+    sum(b) - sum(a) at every h. At near-vertex factors the system can
+    still be singular: rows whose softmax is flat in h leave directions
+    (x, -x) with sum(x) = 0 that move neither Q, R nor g, and the
+    minimum-norm step, which has no component along them, is taken
+    instead. Returns the factor logs and the L1 norm of the gradient, the
+    column-marginal error; returns None on a non-finite system, a stalled
+    line search, a spent step cap or a g below ``_G_FLOOR``, where the
+    floored projection differs.
     """
     rank = lk3.size
     rows1, rows2 = a > 0, b > 0
@@ -165,7 +161,7 @@ def _newton(lk1, lk2, lk3, a, b):
         try:
             d = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            return _decline("singular system")
+            d = np.linalg.lstsq(hess, grad, rcond=None)[0]
         slope = grad @ d
         if not np.isfinite(slope):
             return _decline("non-finite system")
@@ -298,9 +294,9 @@ def solve_lr_sinkhorn(
       prob: the linear OT problem; its cost matrix is materialized once.
       rank: number of inner columns r; must satisfy 1 <= r <= min(n, m).
       gamma: mirror-descent step size. Defaults to 10 / max|gradient|
-        measured at the first iteration. Whatever the starting value,
-        steps whose projection stays infeasible or whose cost goes up
-        are retried at half the size, so this acts as an upper bound.
+        measured at the first iteration. A step whose projection stays
+        infeasible is retried at half the size, and the halved size is
+        kept for every later step, so this acts as an upper bound.
       threshold: stop when the cost moved by at most
         ``threshold * (1 + |cost|)`` over the last ``inner_iters`` steps.
       max_iters: hard cap on mirror-descent steps.
@@ -344,8 +340,6 @@ def solve_lr_sinkhorn(
     grad_q = cost @ (r / g[None, :])
     costs = [float(np.sum(q * grad_q))]
     converged = False
-    gamma_cap = gamma
-    clean_streak = 0
     t = 0
     for t in range(1, max_iters + 1):
         grad_r = cost.T @ (q / g[None, :])
@@ -353,14 +347,11 @@ def solve_lr_sinkhorn(
         if gamma is None:
             peak = max(np.abs(grad_q).max(), np.abs(grad_r).max(), np.abs(grad_g).max())
             gamma = 10.0 / peak if peak > 0 else 1.0
-            gamma_cap = gamma
             logger.debug("lowrank: default gamma = %g", gamma)
-        # Near a vertex the step kernels degenerate and the projection
-        # cannot reach feasibility within its step budget, and too-long
-        # steps can also overshoot the bilinear objective. Halve the
-        # step and retry until the projection is clean and the cost does
-        # not increase; if even tiny steps fail, the factorization has
-        # hit its resolution limit and the last iterate is the answer.
+        # A too-long step can overflow the step kernels or leave them too
+        # degenerate for the projection to reach feasibility. Halve the
+        # step until the projection is clean; if even tiny steps fail,
+        # the last iterate is the answer, unconverged.
         saw_finite = False
         for _ in range(_MAX_BACKOFFS_PER_STEP):
             lq_new, lr_new, lg_new, residual = _project(
@@ -369,15 +360,8 @@ def solve_lr_sinkhorn(
             if np.isfinite(residual):
                 saw_finite = True
             if residual <= _PROJECTION_ACCEPT:
-                q_new, r_new, g_new = np.exp(lq_new), np.exp(lr_new), np.exp(lg_new)
-                grad_q_new = cost @ (r_new / g_new[None, :])
-                cost_new = float(np.sum(q_new * grad_q_new))
-                if np.isfinite(cost_new) and cost_new <= costs[-1] + _DESCENT_SLACK * (
-                    1.0 + abs(costs[-1])
-                ):
-                    break
+                break
             gamma *= 0.5
-            clean_streak = 0
         else:
             if not saw_finite:
                 raise DivergedError(
@@ -386,15 +370,11 @@ def solve_lr_sinkhorn(
             logger.info(
                 "lowrank: no acceptable step at iteration %d (residual %.2e); stopping", t, residual
             )
-            converged = t > 1
             break
-        clean_streak += 1
-        if clean_streak >= _RECOVERY_WINDOW and gamma < gamma_cap:
-            gamma = min(gamma * 2.0, gamma_cap)
-            clean_streak = 0
         lq, lr, lg = lq_new, lr_new, lg_new
-        q, r, g, grad_q = q_new, r_new, g_new, grad_q_new
-        costs.append(cost_new)
+        q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
+        grad_q = cost @ (r / g[None, :])
+        costs.append(float(np.sum(q * grad_q)))
         if t % inner_iters == 0 and len(costs) > inner_iters:
             if abs(costs[-1] - costs[-1 - inner_iters]) <= threshold * (1.0 + abs(costs[-1])):
                 converged = True

@@ -47,3 +47,22 @@ def log_domain(monkeypatch):
         monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
 
     return force
+
+
+@pytest.fixture
+def infeasible_after_first_step(monkeypatch):
+    """Makes every low-rank projection after the start's and the first
+    accepted step's report a finite residual above the acceptance level,
+    so that no later step can be accepted."""
+    original = lowrank._project
+    accepted = []
+
+    def project(*args):
+        lq, lr, lg, residual = original(*args)
+        if len(accepted) >= 2:
+            return lq, lr, lg, 1e3 * lowrank._PROJECTION_ACCEPT
+        if residual <= lowrank._PROJECTION_ACCEPT:
+            accepted.append(residual)
+        return lq, lr, lg, residual
+
+    monkeypatch.setattr(lowrank, "_project", project)

@@ -155,6 +155,18 @@ def test_lin_exits_two_when_the_solver_stalls(tmp_path, capsys):
     assert payload["converged"] is False
 
 
+def test_lin_low_rank_exits_two_when_no_step_is_acceptable(tmp_path, capsys, infeasible_after_first_step):
+    rng = np.random.default_rng(0)
+    x = write_csv(tmp_path / "x.csv", rng.random((6, 2)))
+    y = write_csv(tmp_path / "y.csv", rng.random((5, 2)))
+    code, payload, _ = run(
+        capsys, ["lin", "--x", x, "--y", y, "--solver", "lr", "--rank", "2"]
+    )
+    assert code == 2
+    assert payload["converged"] is False
+    assert payload["iterations"] == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -247,19 +247,46 @@ def test_newton_projection_matches_the_dykstra_reference(case, monkeypatch):
             assert np.abs(np.exp(x) - np.exp(y)).sum() <= 1e-8
 
 
-def test_singular_newton_system_returns_the_reference(caplog):
+def test_singular_newton_system_takes_the_minimum_norm_step(monkeypatch):
     # Every factor row sits at a vertex, so the row softmaxes are flat in
-    # h and the Newton system is singular, while Dykstra still projects.
+    # h and the Newton system is singular; its minimum-norm step moves
+    # only what Q, R and g depend on, and no fallback is needed.
     lk = np.log(0.5) + np.array([[0.0, -80.0], [-80.0, 0.0]])
     lk3 = np.array([-0.3, 0.8])
     a = np.array([0.5, 0.5])
+    calls = _spy(monkeypatch, "_dykstra")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with caplog.at_level(logging.DEBUG, logger="otkit.lowrank"):
-            got = lowrank._project(lk, lk, lk3, a, a)
-        with np.errstate(all="ignore"):
-            want = lowrank._dykstra(lk, lk, lk3, a, a)
-    assert "singular system" in caplog.text
+        got = lowrank._project(lk, lk, lk3, a, a)
+    assert calls == []
+    assert got[3] <= lowrank._PROJECTION_TOL
+    with np.errstate(all="ignore"):
+        want = lowrank._dykstra(lk, lk, lk3, a, a)
+    for x, y in zip(got[:3], want[:3]):
+        assert np.abs(np.exp(x) - np.exp(y)).sum() <= 1e-8
+
+
+def test_a_declined_newton_projection_returns_the_reference(monkeypatch, caplog):
+    # One projection of this solve stalls Newton's line search.
+    rng = np.random.default_rng(0)
+    prob = LinearProblem(PointCloudGeometry(rng.random((5, 2)), rng.random((4, 2))))
+    projections = []
+    original = lowrank._project
+
+    def project(*args):
+        result = original(*args)
+        projections.append((args, result))
+        return result
+
+    monkeypatch.setattr(lowrank, "_project", project)
+    with caplog.at_level(logging.DEBUG, logger="otkit.lowrank"):
+        solve_lr_sinkhorn(prob, 3)
+    with np.errstate(all="ignore"):
+        declined = [(args, got) for args, got in projections if lowrank._newton(*args) is None]
+        assert len(declined) == 1
+        args, got = declined[0]
+        want = lowrank._dykstra(*args)
+    assert "stalled line search" in caplog.text
     for x, y in zip(got, want):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
@@ -280,6 +307,18 @@ def test_small_clouds_converge_well_before_the_step_cap(seed):
     out = solve_lr_sinkhorn(prob, 3)
     assert out.converged
     assert out.iterations <= 200
+
+
+def test_near_vertex_full_rank_solve_converges_without_fallbacks(monkeypatch):
+    # Its factors approach a vertex, where the Newton systems turn
+    # singular; projections that fell back there cost hundreds of steps.
+    rng = np.random.default_rng(3)
+    prob = LinearProblem(PointCloudGeometry(rng.random((4, 2)), rng.random((4, 2))))
+    calls = _spy(monkeypatch, "_dykstra")
+    out = solve_lr_sinkhorn(prob, 4, max_iters=3000)
+    assert out.converged
+    assert out.iterations <= 100
+    assert calls == []
 
 
 def test_a_too_large_gamma_backs_off_without_warnings():
@@ -307,6 +346,13 @@ def test_no_acceptable_first_step_returns_the_start_unconverged():
     assert out.costs.shape == (1,)
     for name in ("q", "r", "g"):
         assert np.all(np.isfinite(getattr(out.factors, name)))
+
+
+def test_running_out_of_acceptable_steps_is_not_convergence(infeasible_after_first_step):
+    out = solve_lr_sinkhorn(_cloud_problem(), 2)
+    assert out.iterations == 2
+    assert out.converged is False
+    assert out.costs.shape == (2,)
 
 
 def test_gamma_and_threshold_are_validated():
