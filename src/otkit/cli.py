@@ -8,8 +8,11 @@ result is a JSON summary on stdout or ``--out``, plus optional CSV
 artifacts, all written atomically.
 
 Exit codes: 0 on success, 1 on input errors, 2 when a solver stopped
-without converging. Set ``OTKIT_LOG=DEBUG|INFO|WARNING|ERROR`` to
-control log verbosity.
+without converging. Every rejection of input exits 1 with one
+``error:`` line on stderr, whether argparse, the CLI's weight rule (a
+sum within 1e-6 of 1 is rescaled to 1) or a library check turns it
+away. Set ``OTKIT_LOG=DEBUG|INFO|WARNING|ERROR`` to control log
+verbosity.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .geometry import COST_FNS, DenseGeometry, GridGeometry, PointCloudGeometry
 from .lowrank import lr_coupling, solve_lr_sinkhorn
 from .quadratic import QuadraticProblem, solve_gw
 from .reference import exact_gw_2x2, exact_lp_uniform
-from .sinkhorn import LinearProblem, reg_ot_cost, solve_sinkhorn, transport_matrix
+from .sinkhorn import LinearProblem, _as_weights, reg_ot_cost, solve_sinkhorn, transport_matrix
 from .tools import SoftSortSpec, _ranks, _sorted_values, gmm_distance, sort_transport
 
 logger = logging.getLogger(__name__)
@@ -45,14 +48,10 @@ logger = logging.getLogger(__name__)
 __all__ = ["main"]
 
 
-class _InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # Route argparse usage errors through the common exit-code-1 path.
     def error(self, message):
-        raise _InputError(message)
+        raise ValueError(message)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,9 +61,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except DivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -84,18 +80,23 @@ def _emit(args, payload: dict) -> None:
 
 
 def _as_cli_weights(w: np.ndarray, size: int, name: str) -> np.ndarray:
-    if w.size != size:
-        raise _InputError(f"{name} must have {size} entries, got {w.size}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise _InputError(f"{name} must be entrywise finite and nonnegative")
+    # The CLI's own rule: a sum within 1e-6 of 1 is rescaled to 1
+    # (dividing by 1.0 is exact); the negated test turns NaN away too.
+    # Shape, sign and finiteness are the library's checks.
     total = w.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise _InputError(f"{name} sums to {total!r}; expected 1 (within 1e-6)")
-    if total != 1.0:
-        if abs(total - 1.0) > 1e-9:
-            logger.warning("%s sums to %.12g; rescaling to 1", name, total)
-        w = w / total
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"{name} sums to {total!r}; expected 1 (within 1e-6)")
+    w = _as_weights(w / total, size, name)
+    if abs(total - 1.0) > 1e-9:
+        logger.warning("%s sums to %.12g; rescaling to 1", name, total)
     return w
+
+
+def _floats(raw: str, expected: str) -> np.ndarray:
+    try:
+        return np.array([float(tok) for tok in raw.split(",")])
+    except ValueError:
+        raise ValueError(f"{expected}, got {raw!r}") from None
 
 
 def _resolve_eps(args, geom) -> float | None:
@@ -120,7 +121,7 @@ def _solver_opts(args) -> dict:
 
 def _cmd_lin(args) -> int:
     if (args.cost_matrix is None) == (args.x is None or args.y is None):
-        raise _InputError("provide either --cost-matrix or both --x and --y")
+        raise ValueError("provide either --cost-matrix or both --x and --y")
     if args.cost_matrix is not None:
         geom = DenseGeometry(read_matrix(args.cost_matrix))
     else:
@@ -138,32 +139,25 @@ def _cmd_lin(args) -> int:
 
     if args.solver == "lr":
         if args.rank is None:
-            raise _InputError("--solver lr requires --rank")
+            raise ValueError("--solver lr requires --rank")
         if eps is not None:
             logger.warning("the low-rank solver has no entropic eps; ignoring --eps/--eps-rel")
         out = solve_lr_sinkhorn(prob, args.rank, seed=args.seed, **opts)
-        payload = {
-            "command": "lin",
-            "solver": "lr",
-            "rank": args.rank,
-            "transport_cost": float(out.costs[-1]),
-            "dual_objective": None,
-            "iterations": out.iterations,
-            "converged": out.converged,
-            "eps": None,
-        }
+        fields = {"rank": args.rank, "transport_cost": float(out.costs[-1]), "dual_objective": None}
+        solved_eps = None
     else:
         out = solve_sinkhorn(prob, eps, **opts)
         costs = reg_ot_cost(out, prob)
-        payload = {
-            "command": "lin",
-            "solver": "sinkhorn",
-            "transport_cost": costs.transport_cost,
-            "dual_objective": costs.dual_objective,
-            "iterations": out.iterations,
-            "converged": out.converged,
-            "eps": out.eps,
-        }
+        fields = {"transport_cost": costs.transport_cost, "dual_objective": costs.dual_objective}
+        solved_eps = out.eps
+    payload = {
+        "command": "lin",
+        "solver": args.solver,
+        **fields,
+        "iterations": out.iterations,
+        "converged": out.converged,
+        "eps": solved_eps,
+    }
     if args.verify:
         payload["verify"] = _verify_lin(geom, prob, payload["transport_cost"])
     if args.coupling_out:
@@ -230,8 +224,6 @@ def _verify_quad(qp, gw_cost: float) -> dict:
 
 
 def _cmd_barycenter(args) -> int:
-    if (args.support is None) == (args.grid is None):
-        raise _InputError("provide either --support or --grid")
     if args.support is not None:
         support = read_matrix(args.support)
         geom = PointCloudGeometry(support, support, args.cost)
@@ -265,10 +257,7 @@ def _parse_weights_arg(raw: str | None, size: int) -> np.ndarray | None:
     if os.path.exists(raw):
         w = read_vector(raw)
     else:
-        try:
-            w = np.array([float(tok) for tok in raw.split(",")])
-        except ValueError:
-            raise _InputError(f"--weights must be a CSV path or comma-separated floats, got {raw!r}") from None
+        w = _floats(raw, "--weights must be a CSV path or comma-separated floats")
     return _as_cli_weights(w, size, "weights")
 
 
@@ -276,13 +265,8 @@ def _parse_weights_arg(raw: str | None, size: int) -> np.ndarray | None:
 
 
 def _cmd_softsort(args) -> int:
-    if (args.values is None) == (args.input is None):
-        raise _InputError("provide either --values or --input")
     if args.values is not None:
-        try:
-            x = np.array([float(tok) for tok in args.values.split(",")])
-        except ValueError:
-            raise _InputError(f"--values must be comma-separated floats, got {args.values!r}") from None
+        x = _floats(args.values, "--values must be comma-separated floats")
     else:
         x = read_vector(args.input)
     spec = SoftSortSpec(num_targets=args.num_targets, eps=args.eps if args.eps is not None else 1e-2)
@@ -312,9 +296,9 @@ def _parse_sweep(raw: str) -> list[float]:
         lo, hi, count = raw.split(",")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise _InputError(f"--eps-sweep must be LO,HI,COUNT, got {raw!r}") from None
+        raise ValueError(f"--eps-sweep must be LO,HI,COUNT, got {raw!r}") from None
     if not (0 < lo <= hi < np.inf) or count < 1:
-        raise _InputError("--eps-sweep needs 0 < LO <= HI < inf and COUNT >= 1")
+        raise ValueError("--eps-sweep needs 0 < LO <= HI < inf and COUNT >= 1")
     return [float(e) for e in np.geomspace(lo, hi, count)]
 
 
@@ -381,8 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     quad.set_defaults(handler=_cmd_quad)
 
     bary = commands.add_parser("barycenter", help="fixed-support barycenter of histograms")
-    bary.add_argument("--support", help="support points CSV (dense mode)")
-    bary.add_argument("--grid", nargs="+", help="per-axis coordinate CSVs (separable grid mode)")
+    domain = bary.add_mutually_exclusive_group(required=True)
+    domain.add_argument("--support", help="support points CSV (dense mode)")
+    domain.add_argument("--grid", nargs="+", help="per-axis coordinate CSVs (separable grid mode)")
     bary.add_argument("--cost", choices=COST_FNS, default="sqeucl", help="support cost function (dense mode)")
     bary.add_argument("--hist", action="append", required=True, help="histogram CSV; repeat per input")
     bary.add_argument("--weights", help="barycentric weights: comma-separated floats or a CSV path")
@@ -391,8 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bary.set_defaults(handler=_cmd_barycenter)
 
     softsort = commands.add_parser("softsort", help="entropic sorting and ranking of a value list")
-    softsort.add_argument("--values", help="comma-separated input values")
-    softsort.add_argument("--input", help="input values CSV (alternative to --values)")
+    source = softsort.add_mutually_exclusive_group(required=True)
+    source.add_argument("--values", help="comma-separated input values")
+    source.add_argument("--input", help="input values CSV (alternative to --values)")
     softsort.add_argument("--num-targets", type=int, help="number of sort targets (default: input length)")
     softsort.add_argument("--eps", type=float, help="regularization in squashed units (default 1e-2)")
     softsort.add_argument("--eps-sweep", help="LO,HI,COUNT geometric eps sweep; one output row per eps")

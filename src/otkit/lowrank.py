@@ -18,8 +18,8 @@ import logging
 import numpy as np
 
 from .errors import DivergedError
-from .geometry import _lse
-from .sinkhorn import Coupling, LinearProblem, _sinkhorn_iterations, transport_matrix
+from .geometry import DEFAULT_EPSILON_SCALE, _lse
+from .sinkhorn import Coupling, LinearProblem, _sinkhorn_iterations
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,10 @@ _ROUNDING = 1e-12
 # the step retried.
 _PROJECTION_ACCEPT = 5e-7
 _MAX_BACKOFFS_PER_STEP = 10
-# Starting factors are carved out of a moderately blurred entropic plan;
-# the blur keeps the guide solve cheap and stable while its support still
-# points at the right basin of the (nonconvex) factored problem.
-_GUIDE_EPS_SCALE = 0.05
+# Starting factors are carved out of a moderately blurred entropic plan
+# (eps = DEFAULT_EPSILON_SCALE times the mean cost); the blur keeps the
+# guide solve cheap and stable while its support still points at the
+# right basin of the (nonconvex) factored problem.
 _GUIDE_THRESHOLD = 1e-4
 _GUIDE_MAX_ITERS = 2000
 _INIT_JITTER = 0.05
@@ -241,22 +241,24 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
     """
     n, m = prob.geom.shape
     rng = np.random.default_rng(seed)
-    eps0 = _GUIDE_EPS_SCALE * float(cost.mean())
-    guide = None
+    eps0 = DEFAULT_EPSILON_SCALE * float(cost.mean())
+    q0 = None
     if eps0 > 0:
         try:
             sk = _sinkhorn_iterations(prob, eps0, _GUIDE_THRESHOLD, _GUIDE_MAX_ITERS, 10, None)
         except DivergedError:
             pass
         else:
-            plan = transport_matrix(sk, prob).matrix
-            if np.all(np.isfinite(plan)):
-                guide = plan
-    if guide is not None:
+            # Column j adds into column j % rank, in ascending j.
+            q0 = np.zeros((n, rank))
+            for start, stop, _, rows in prob.geom._plan_blocks(sk.f, sk.g, sk.eps):
+                for j in range(0, m, rank):
+                    cols = rows[:, j : j + rank]
+                    q0[start:stop, : cols.shape[1]] += cols
+            if not np.all(np.isfinite(q0)):
+                q0 = None
+    if q0 is not None:
         groups = np.arange(m) % rank
-        q0 = np.zeros((n, rank))
-        for j in range(m):
-            q0[:, groups[j]] += guide[:, j]
         q0 += 1e-12
         q0 *= np.exp(_INIT_JITTER * rng.standard_normal(q0.shape))
         w = rng.random(rank) + 0.2

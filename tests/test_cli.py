@@ -190,13 +190,19 @@ def test_lin_low_rank_exits_two_when_no_step_is_acceptable(tmp_path, capsys, inf
         ["softsort", "--values", "1,2,3", "--eps-sweep", "1e-2,inf,3"],
         ["barycenter", "--support", "{x}", "--hist", "{h}", "--hist", "{h}", "--eps", "inf"],
         ["lin", "--x", "{x}", "--y", "{y}", "--solver", "lr", "--rank", "1", "--threshold", "-1"],
+        ["barycenter", "--hist", "{h}"],
+        ["lin", "--x", "{x}", "--y", "{y}", "--a", "{negative}"],
+        ["lin", "--x", "{x}", "--y", "{y}", "--a", "{nan}"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_input_errors_exit_one(tmp_path, capsys, two_point_files, argv):
     x, y = two_point_files
     h = write_csv(tmp_path / "h.csv", [0.25, 0.75])
-    argv = [token.format(x=x, y=y, h=h) for token in argv]
+    # Sums to 1, so only the library's sign check turns it away.
+    negative = write_csv(tmp_path / "negative.csv", [1.5, -0.5])
+    nan = write_csv(tmp_path / "nan.csv", [np.nan, 0.5])
+    argv = [token.format(x=x, y=y, h=h, negative=negative, nan=nan) for token in argv]
     code, payload, err = run(capsys, argv)
     assert code == 1
     assert payload is None
@@ -338,6 +344,15 @@ def test_quad_reports_no_step_when_every_cost_is_zero(tmp_path, capsys):
     assert len(payload["cost_trace"]) == payload["outer_iterations"] + 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quad_exits_two_when_an_inner_solve_diverges(tmp_path, capsys):
+    cloud = write_csv(tmp_path / "c.csv", np.random.default_rng(0).random((6, 2)))
+    code, payload, err = run(capsys, ["quad", "--x", cloud, "--y", cloud, "--eps", "5e-324"])
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: inner Sinkhorn solve diverged")
+
+
 # ---- barycenter ----
 
 
@@ -442,7 +457,7 @@ def test_barycenter_names_a_histogram_of_the_wrong_length(tmp_path, capsys):
     h1 = write_csv(tmp_path / "h1.csv", np.full(4, 0.25)[:, None])
     code, payload, err = run(capsys, ["barycenter", "--support", support, "--hist", h0, "--hist", h1])
     assert code == 1 and payload is None
-    assert "histogram 1 must have 5 entries, got 4" in err
+    assert "histogram 1 must have shape (5,), got (4,)" in err
 
 
 def test_barycenter_of_identical_histograms_returns_them(tmp_path, capsys):
@@ -665,6 +680,26 @@ def test_importing_otkit_loads_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    import otkit
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(otkit.__file__))}
+    ok = subprocess.run(
+        [sys.executable, "-m", "otkit.cli", "softsort", "--values", "3,1,2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["command"] == "softsort"
+    hist = write_csv(tmp_path / "h.csv", [0.5, 0.5])
+    bad = subprocess.run(
+        [sys.executable, "-m", "otkit.cli", "barycenter", "--hist", hist],
+        env=env, capture_output=True, text=True,
+    )
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")
 
 
 # ---- parser ----

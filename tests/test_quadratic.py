@@ -6,6 +6,7 @@ import pytest
 
 from otkit import (
     DenseGeometry,
+    DivergedError,
     PointCloudGeometry,
     QuadraticProblem,
     finite_diff,
@@ -228,6 +229,15 @@ def test_solve_gw_rejects_a_nonpositive_eps_rel(eps_rel):
 def test_solve_gw_rejects_an_eps_that_is_not_positive_and_finite(eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         solve_gw(stretched_pair(), eps=eps)
+
+
+def test_an_inner_divergence_names_the_outer_step():
+    pts = np.random.default_rng(0).random((6, 2))
+    qp = QuadraticProblem(PointCloudGeometry(pts, pts), PointCloudGeometry(pts, pts))
+    with pytest.raises(DivergedError, match="inner Sinkhorn solve diverged") as info:
+        solve_gw(qp, eps=5e-324)
+    assert info.value.iteration == 1
+    assert isinstance(info.value.__cause__, DivergedError)
 
 
 def test_problem_rejects_invalid_weights():
