@@ -3,9 +3,10 @@
 Subcommands map one-to-one onto library calls: ``lin`` (entropic or
 low-rank OT), ``quad`` (Gromov-Wasserstein between two point clouds),
 ``barycenter``, ``softsort`` and ``gmm``. Inputs are headerless CSV
-(comma-separated, '#' starts a comment) or JSON for mixtures; the
-result is a JSON summary on stdout or ``--out``, plus optional CSV
-artifacts, all written atomically.
+(comma-separated, '#' starts a comment) or JSON for mixtures; each
+handler returns a JSON payload, and ``main`` writes it to stdout or
+``--out`` and maps its ``converged`` field to the exit code. Handlers
+also write optional CSV artifacts; every file is written atomically.
 
 Exit codes: 0 on success, 1 on input errors, 2 when a solver stopped
 without converging. Every rejection of input exits 1 with one
@@ -60,23 +61,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        payload = args.handler(args)
+        if args.out:
+            write_json_atomic(args.out, payload)
+        else:
+            print(json.dumps(payload, indent=2))
     except DivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0 if payload["converged"] else 2
 
 
 # ---- shared helpers ----
-
-
-def _emit(args, payload: dict) -> None:
-    if args.out:
-        write_json_atomic(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
 
 
 def _as_cli_weights(w: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -85,7 +84,7 @@ def _as_cli_weights(w: np.ndarray, size: int, name: str) -> np.ndarray:
     # Shape, sign and finiteness are the library's checks.
     total = w.sum()
     if not abs(total - 1.0) <= 1e-6:
-        raise ValueError(f"{name} sums to {total!r}; expected 1 (within 1e-6)")
+        raise ValueError(f"{name} sums to {float(total)}; expected 1 (within 1e-6)")
     w = _as_weights(w / total, size, name)
     if abs(total - 1.0) > 1e-9:
         logger.warning("%s sums to %.12g; rescaling to 1", name, total)
@@ -107,19 +106,17 @@ def _resolve_eps(args, geom) -> float | None:
     return None
 
 
-def _solver_opts(args) -> dict:
-    opts = {}
-    if args.threshold is not None:
-        opts["threshold"] = args.threshold
-    if args.max_iters is not None:
-        opts["max_iters"] = args.max_iters
-    return opts
+def _given(args, *dests, **renamed) -> dict:
+    # Library keywords for the flags that were given: each of `dests`
+    # under its own name, each key of `renamed` under its value.
+    pairs = [(dest, dest) for dest in dests] + list(renamed.items())
+    return {kw: getattr(args, dest) for dest, kw in pairs if getattr(args, dest) is not None}
 
 
 # ---- lin ----
 
 
-def _cmd_lin(args) -> int:
+def _cmd_lin(args) -> dict:
     if (args.cost_matrix is None) == (args.x is None or args.y is None):
         raise ValueError("provide either --cost-matrix or both --x and --y")
     if args.cost_matrix is not None:
@@ -135,7 +132,7 @@ def _cmd_lin(args) -> int:
     b = _as_cli_weights(read_vector(args.b), m, "b") if args.b else None
     prob = LinearProblem(geom, a, b)
     eps = _resolve_eps(args, geom)
-    opts = _solver_opts(args)
+    opts = _given(args, "threshold", "max_iters")
 
     if args.solver == "lr":
         if args.rank is None:
@@ -163,8 +160,7 @@ def _cmd_lin(args) -> int:
     if args.coupling_out:
         coupling = lr_coupling(out.factors) if args.solver == "lr" else transport_matrix(out, prob)
         write_matrix_atomic(args.coupling_out, coupling.matrix)
-    _emit(args, payload)
-    return 0 if payload["converged"] else 2
+    return payload
 
 
 def _verify_lin(geom, prob, transport_cost: float) -> dict:
@@ -179,20 +175,11 @@ def _verify_lin(geom, prob, transport_cost: float) -> dict:
 # ---- quad ----
 
 
-def _cmd_quad(args) -> int:
+def _cmd_quad(args) -> dict:
     x = read_matrix(args.x)
     y = read_matrix(args.y)
     qp = QuadraticProblem(PointCloudGeometry(x, x, args.cost), PointCloudGeometry(y, y, args.cost))
-    kwargs = {}
-    if args.eps is not None:
-        kwargs["eps"] = args.eps
-    if args.eps_rel is not None:
-        kwargs["eps_rel"] = args.eps_rel
-    if args.threshold is not None:
-        kwargs["outer_threshold"] = args.threshold
-    if args.max_iters is not None:
-        kwargs["outer_iters"] = args.max_iters
-    out = solve_gw(qp, **kwargs)
+    out = solve_gw(qp, **_given(args, "eps", "eps_rel", threshold="outer_threshold", max_iters="outer_iters"))
     payload = {
         "command": "quad",
         "gw_cost": out.gw_cost,
@@ -209,8 +196,7 @@ def _cmd_quad(args) -> int:
         partner = plan.argmax(axis=1)
         lines = [f"{i},{partner[i]},{float(plan[i, partner[i]])!r}" for i in range(plan.shape[0])]
         write_text_atomic(args.correspondence_out, "\n".join(lines) + "\n")
-    _emit(args, payload)
-    return 0 if out.converged else 2
+    return payload
 
 
 def _verify_quad(qp, gw_cost: float) -> dict:
@@ -223,7 +209,7 @@ def _verify_quad(qp, gw_cost: float) -> dict:
 # ---- barycenter ----
 
 
-def _cmd_barycenter(args) -> int:
+def _cmd_barycenter(args) -> dict:
     if args.support is not None:
         support = read_matrix(args.support)
         geom = PointCloudGeometry(support, support, args.cost)
@@ -235,7 +221,7 @@ def _cmd_barycenter(args) -> int:
     weights = _parse_weights_arg(args.weights, hists.shape[0])
     bp = BarycenterProblem(geom, hists, weights)
     eps = _resolve_eps(args, geom)
-    out = solve_barycenter(bp, eps, **_solver_opts(args))
+    out = solve_barycenter(bp, eps, **_given(args, "threshold", "max_iters"))
     payload = {
         "command": "barycenter",
         "converged": out.converged,
@@ -247,8 +233,7 @@ def _cmd_barycenter(args) -> int:
     }
     if args.barycenter_out:
         write_matrix_atomic(args.barycenter_out, out.barycenter.reshape(-1, 1))
-    _emit(args, payload)
-    return 0 if out.converged else 2
+    return payload
 
 
 def _parse_weights_arg(raw: str | None, size: int) -> np.ndarray | None:
@@ -264,13 +249,14 @@ def _parse_weights_arg(raw: str | None, size: int) -> np.ndarray | None:
 # ---- softsort ----
 
 
-def _cmd_softsort(args) -> int:
+def _cmd_softsort(args) -> dict:
     if args.values is not None:
         x = _floats(args.values, "--values must be comma-separated floats")
     else:
         x = read_vector(args.input)
-    spec = SoftSortSpec(num_targets=args.num_targets, eps=args.eps if args.eps is not None else 1e-2)
-    opts = _solver_opts(args)
+    spec = SoftSortSpec(**_given(args, "num_targets", "eps"))
+    sweep = _parse_sweep(args.eps_sweep) if args.eps_sweep else None
+    opts = _given(args, "threshold", "max_iters")
     plan, converged = sort_transport(x, spec, **opts)
     payload = {
         "command": "softsort",
@@ -279,16 +265,13 @@ def _cmd_softsort(args) -> int:
         "sorted_values": _sorted_values(plan, x).tolist(),
         "ranks": _ranks(plan).tolist() if plan.shape == (x.size, x.size) else None,
     }
-    if args.eps_sweep:
-        sweep = []
-        for eps in _parse_sweep(args.eps_sweep):
+    if sweep is not None:
+        payload["sweep"] = []
+        for eps in sweep:
             plan_e, conv_e = sort_transport(x, dataclasses.replace(spec, eps=eps), **opts)
-            converged = converged and conv_e
-            sweep.append({"eps": eps, "sorted_values": _sorted_values(plan_e, x).tolist()})
-        payload["sweep"] = sweep
-        payload["converged"] = converged
-    _emit(args, payload)
-    return 0 if converged else 2
+            payload["converged"] = payload["converged"] and conv_e
+            payload["sweep"].append({"eps": eps, "sorted_values": _sorted_values(plan_e, x).tolist()})
+    return payload
 
 
 def _parse_sweep(raw: str) -> list[float]:
@@ -305,21 +288,14 @@ def _parse_sweep(raw: str) -> list[float]:
 # ---- gmm ----
 
 
-def _cmd_gmm(args) -> int:
-    mix1 = read_gmm(args.m1)
-    mix2 = read_gmm(args.m2)
-    kwargs = _solver_opts(args)
-    if args.eps_rel is not None:
-        kwargs["eps_rel"] = args.eps_rel
-    result = gmm_distance(mix1, mix2, **kwargs)
-    payload = {
+def _cmd_gmm(args) -> dict:
+    result = gmm_distance(read_gmm(args.m1), read_gmm(args.m2), **_given(args, "eps_rel", "threshold", "max_iters"))
+    return {
         "command": "gmm",
         "value": result.value,
         "converged": result.converged,
         "coupling": result.coupling.tolist(),
     }
-    _emit(args, payload)
-    return 0 if result.converged else 2
 
 
 # ---- parser ----
@@ -380,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--values", help="comma-separated input values")
     source.add_argument("--input", help="input values CSV (alternative to --values)")
     softsort.add_argument("--num-targets", type=int, help="number of sort targets (default: input length)")
-    softsort.add_argument("--eps", type=float, help="regularization in squashed units (default 1e-2)")
+    softsort.add_argument("--eps", type=float, help=f"regularization in squashed units (default {SoftSortSpec.eps:g})")
     softsort.add_argument("--eps-sweep", help="LO,HI,COUNT geometric eps sweep; one output row per eps")
     _add_common(softsort, eps=False)
     softsort.set_defaults(handler=_cmd_softsort)

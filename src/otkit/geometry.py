@@ -89,7 +89,7 @@ def _check_vector(v: np.ndarray, size: int, name: str) -> np.ndarray:
 
 def _check_epsilon_default(eps: float | None) -> float | None:
     if eps is not None and not (0 < eps < np.inf):
-        raise ValueError(f"epsilon_default must be positive and finite, got {eps!r}")
+        raise ValueError(f"epsilon_default must be positive and finite, got {float(eps)}")
     return eps
 
 
@@ -113,9 +113,9 @@ class EpsilonSchedule:
 
     def __init__(self, target: float, init_scale: float = 1.0, decay: float = 1.0):
         if not (0 < target < np.inf):
-            raise ValueError(f"target must be positive and finite, got {target!r}")
+            raise ValueError(f"target must be positive and finite, got {float(target)}")
         if not (1.0 <= init_scale < np.inf):
-            raise ValueError(f"init_scale must be finite and >= 1, got {init_scale!r}")
+            raise ValueError(f"init_scale must be finite and >= 1, got {float(init_scale)}")
         if not (0.0 < decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
         if init_scale > 1.0 and decay == 1.0:

@@ -323,7 +323,7 @@ def solve_lr_sinkhorn(
     if rank < 1 or rank > min(n, m):
         raise ValueError(f"rank must lie in [1, {min(n, m)}], got {rank}")
     if gamma is not None and not (0 < gamma < np.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+        raise ValueError(f"gamma must be positive and finite, got {float(gamma)}")
     if not (threshold > 0):
         raise ValueError("threshold must be positive")
     if max_iters < 1 or inner_iters < 1:

@@ -150,9 +150,9 @@ def solve_gw(
     if not (outer_threshold > 0):
         raise ValueError("outer_threshold must be positive")
     if eps is not None and not (0 < eps < np.inf):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        raise ValueError(f"eps must be positive and finite, got {float(eps)}")
     if not (0 < eps_rel < np.inf):
-        raise ValueError(f"eps_rel must be positive and finite, got {eps_rel!r}")
+        raise ValueError(f"eps_rel must be positive and finite, got {float(eps_rel)}")
     terms = _SquareLoss(qp)
     plan = np.outer(qp.a, qp.b)
     cost_t, lin_cost = terms.at(plan)

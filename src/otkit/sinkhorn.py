@@ -44,7 +44,7 @@ def _as_weights(w: np.ndarray | None, size: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError(f"{name} must be entrywise finite and nonnegative")
     if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
+        raise ValueError(f"{name} must sum to 1, got {float(w.sum())}")
     return w
 
 

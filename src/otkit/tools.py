@@ -49,7 +49,7 @@ class SoftSortSpec:
         if self.num_targets is not None and self.num_targets < 1:
             raise ValueError("num_targets must be >= 1")
         if not (0 < self.eps < np.inf):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+            raise ValueError(f"eps must be positive and finite, got {float(self.eps)}")
         if self.squash not in ("minmax", "none"):
             raise ValueError(f"squash must be 'minmax' or 'none', got {self.squash!r}")
 
@@ -66,7 +66,9 @@ def sort_transport(
     Returns the n x m transport plan (uniform weights on both sides,
     squared cost in squashed units) and whether the solve converged.
     Both :func:`soft_sort` and :func:`soft_rank` are projections of
-    this plan.
+    this plan. The plan is dense, so n * m must not exceed
+    ``DEFAULT_DENSE_CAP``; above it, a ``ValueError`` is raised before
+    solving.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -82,6 +84,7 @@ def sort_transport(
         squashed = x
     targets = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])
     geom = PointCloudGeometry(squashed[:, None], targets[:, None], "sqeucl")
+    geom._check_cap(None)
     prob = LinearProblem(geom)
     out = solve_sinkhorn(prob, spec.eps, threshold=threshold, max_iters=max_iters)
     return transport_matrix(out, prob).matrix, out.converged
@@ -99,7 +102,9 @@ def soft_sort(
     Transports the squashed inputs (uniform weights) onto equally
     spaced targets in [0, 1] and reads off the barycentric projection
     of the original values: entry j is ``m * (P^T x)_j``. Small eps
-    approaches the hard sort; large eps flattens toward the mean.
+    approaches the hard sort; large eps flattens toward the mean. Like
+    :func:`sort_transport`, it refuses inputs with n * m above
+    ``DEFAULT_DENSE_CAP`` before solving.
     """
     x = np.asarray(x, dtype=float)
     plan, _ = sort_transport(x, spec, threshold=threshold, max_iters=max_iters)

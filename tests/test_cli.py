@@ -1,6 +1,7 @@
 """CLI contract: library round-trips, exit codes, file artifacts."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -217,6 +218,53 @@ def test_lin_rejects_weights_off_the_simplex(tmp_path, capsys, two_point_files):
     assert "sums to" in err
 
 
+def test_lin_weight_errors_read_plain_numbers(tmp_path, capsys, two_point_files):
+    x, y = two_point_files
+    a = write_csv(tmp_path / "a.csv", [np.nan, 0.5])
+    code, _, err = run(capsys, ["lin", "--x", x, "--y", y, "--a", a])
+    assert code == 1
+    assert err == "error: a sums to nan; expected 1 (within 1e-6)\n"
+
+
+def test_lin_rescales_weights_near_one_with_one_warning(tmp_path, capsys, caplog, two_point_files):
+    x, y = two_point_files
+    w = np.array([0.5, 0.5 + 5e-7])
+    a = write_csv(tmp_path / "a.csv", w)
+    code, payload, _ = run(capsys, ["lin", "--x", x, "--y", y, "--a", a, "--eps", "0.1"])
+    assert code == 0
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.getMessage() for r in warnings] == ["a sums to 1.0000005; rescaling to 1"]
+    prob = LinearProblem(PointCloudGeometry(read_matrix(x), read_matrix(y)), w / w.sum())
+    out = solve_sinkhorn(prob, 0.1)
+    costs = reg_ot_cost(out, prob)
+    assert payload == {
+        "command": "lin",
+        "solver": "sinkhorn",
+        "transport_cost": costs.transport_cost,
+        "dual_objective": costs.dual_objective,
+        "iterations": out.iterations,
+        "converged": out.converged,
+        "eps": out.eps,
+    }
+
+
+def test_lin_low_rank_ignores_eps_with_a_warning(tmp_path, capsys, caplog):
+    rng = np.random.default_rng(0)
+    x = write_csv(tmp_path / "x.csv", rng.random((4, 2)))
+    y = write_csv(tmp_path / "y.csv", rng.random((3, 2)))
+    argv = ["lin", "--x", x, "--y", y, "--solver", "lr", "--rank", "1"]
+    _, reference, _ = run(capsys, argv)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    for eps in (["--eps", "0.1"], ["--eps-rel", "0.1"]):
+        caplog.clear()
+        code, payload, _ = run(capsys, argv + eps)
+        assert code == 0 and payload == reference
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [
+            "the low-rank solver has no entropic eps; ignoring --eps/--eps-rel"
+        ]
+
+
 def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(7)
     x = write_csv(tmp_path / "x.csv", rng.random((10, 2)))
@@ -334,6 +382,15 @@ def test_quad_solver_flags_match_the_library_bitwise(tmp_path, capsys, flags, kw
     }
 
 
+def test_quad_verify_skips_problems_other_than_two_by_two(tmp_path, capsys):
+    x = write_csv(tmp_path / "x.csv", [[0.0], [1.0], [3.0]])
+    y = write_csv(tmp_path / "y.csv", [[0.0], [2.0]])
+    _, reference, _ = run(capsys, ["quad", "--x", x, "--y", y])
+    code, payload, _ = run(capsys, ["quad", "--x", x, "--y", y, "--verify"])
+    assert code == (0 if reference["converged"] else 2)
+    assert payload == {**reference, "verify": {"skipped": "exact GW oracle needs n == m == 2"}}
+
+
 def test_quad_reports_no_step_when_every_cost_is_zero(tmp_path, capsys):
     x = write_csv(tmp_path / "x.csv", [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     y = write_csv(tmp_path / "y.csv", [[0.5]])
@@ -392,6 +449,37 @@ def test_barycenter_matches_the_library_bitwise(tmp_path, capsys):
     assert payload["iterations"] == out.iterations
     npt.assert_array_equal(read_matrix(str(out_path)).reshape(-1), out.barycenter)
     assert int(np.argmax(out.barycenter)) == 5
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (["--threshold", "1e-8", "--max-iters", "7"], {"threshold": 1e-8, "max_iters": 7}),
+        (["--threshold", "1e-2"], {"threshold": 1e-2}),
+    ],
+)
+def test_barycenter_solver_flags_match_the_library_bitwise(tmp_path, capsys, flags, kwargs):
+    rng = np.random.default_rng(4)
+    support = write_csv(tmp_path / "support.csv", rng.random((8, 2)))
+    hists = rng.random((3, 8))
+    hists /= hists.sum(axis=1, keepdims=True)
+    hist_args = []
+    for i, h in enumerate(hists):
+        hist_args += ["--hist", write_csv(tmp_path / f"h{i}.csv", h[:, None])]
+    code, payload, _ = run(capsys, ["barycenter", "--support", support, *hist_args, "--eps", "0.01", *flags])
+    points = read_matrix(support)
+    bp = BarycenterProblem(PointCloudGeometry(points, points), np.stack([read_vector(p) for p in hist_args[1::2]]))
+    out = solve_barycenter(bp, 0.01, **kwargs)
+    assert code == (0 if out.converged else 2)
+    assert payload == {
+        "command": "barycenter",
+        "converged": out.converged,
+        "iterations": out.iterations,
+        "eps": out.eps,
+        "num_histograms": 3,
+        "support_size": 8,
+        "barycenter": out.barycenter.tolist(),
+    }
 
 
 def test_barycenter_grid_mode_matches_the_library(tmp_path, capsys):
@@ -539,6 +627,41 @@ def test_softsort_eps_sweep_flattens_toward_the_mean(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, spec, kwargs",
+    [
+        ([], SoftSortSpec(), {}),
+        (["--eps", "0.05", "--num-targets", "3"], SoftSortSpec(num_targets=3, eps=0.05), {}),
+        (["--num-targets", "5", "--threshold", "1e-8", "--max-iters", "3"], SoftSortSpec(num_targets=5),
+         {"threshold": 1e-8, "max_iters": 3}),
+    ],
+)
+def test_softsort_flags_match_the_library_bitwise(capsys, flags, spec, kwargs):
+    code, payload, _ = run(capsys, ["softsort", "--values", "1,5,4,8,12", *flags])
+    x = np.array([1.0, 5.0, 4.0, 8.0, 12.0])
+    plan, converged = sort_transport(x, spec, **kwargs)
+    assert code == (0 if converged else 2)
+    assert payload == {
+        "command": "softsort",
+        "eps": spec.eps,
+        "converged": converged,
+        "sorted_values": (plan.shape[1] * (plan.T @ x)).tolist(),
+        "ranks": (5 * (plan @ np.arange(5.0))).tolist() if plan.shape == (5, 5) else None,
+    }
+
+
+def test_softsort_refuses_plans_above_the_cap_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a plan that cannot be materialized")
+
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 20)  # below 5 x 5
+    monkeypatch.setattr("otkit.sinkhorn._sinkhorn_iterations", no_solve)
+    path = write_csv(tmp_path / "v.csv", [[1.0], [5.0], [4.0], [8.0], [12.0]])
+    code, payload, err = run(capsys, ["softsort", "--input", path])
+    assert code == 1 and payload is None
+    assert err.startswith("error: cost matrix with 5x5 = 25 entries exceeds the materialization cap 20")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["softsort"],
@@ -567,6 +690,28 @@ def test_gmm_matches_the_library_bitwise(tmp_path, capsys):
     result = gmm_distance(read_gmm(m1), read_gmm(m2))
     assert payload["value"] == result.value
     assert payload["coupling"] == result.coupling.tolist()
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (["--eps-rel", "0.05", "--threshold", "1e-9", "--max-iters", "500"],
+         {"eps_rel": 0.05, "threshold": 1e-9, "max_iters": 500}),
+        (["--eps-rel", "0.5", "--max-iters", "1"], {"eps_rel": 0.5, "max_iters": 1}),
+    ],
+)
+def test_gmm_solver_flags_match_the_library_bitwise(tmp_path, capsys, flags, kwargs):
+    m1 = write_gmm(tmp_path / "m1.json", [0.3, 0.7], [[0.0], [3.0]], [[[1.0]], [[0.5]]])
+    m2 = write_gmm(tmp_path / "m2.json", [0.6, 0.4], [[1.0], [2.0]], [[[2.0]], [[1.0]]])
+    code, payload, _ = run(capsys, ["gmm", "--m1", m1, "--m2", m2, *flags])
+    result = gmm_distance(read_gmm(m1), read_gmm(m2), **kwargs)
+    assert code == (0 if result.converged else 2)
+    assert payload == {
+        "command": "gmm",
+        "value": result.value,
+        "converged": result.converged,
+        "coupling": result.coupling.tolist(),
+    }
 
 
 def test_gmm_identical_files_are_at_distance_zero(tmp_path, capsys):

@@ -15,10 +15,12 @@ from otkit import (
     LinearProblem,
     PointCloudGeometry,
     QuadraticProblem,
+    SoftSortSpec,
     grad_points,
     grad_weights,
     reg_ot_cost,
     solve_gw,
+    solve_lr_sinkhorn,
     solve_sinkhorn,
     transport_matrix,
 )
@@ -276,6 +278,38 @@ def test_linear_problem_rejects_invalid_weights(a, b):
     geom = DenseGeometry(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         LinearProblem(geom, a, b)
+
+
+def test_weight_sum_error_reads_a_plain_number():
+    geom = DenseGeometry(np.zeros((2, 2)))
+    with pytest.raises(ValueError) as info:
+        LinearProblem(geom, np.array([0.3, 0.3]))
+    assert str(info.value) == "a must sum to 1, got 0.6"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda prob, qp: EpsilonSchedule(np.float64(np.inf)), "target must be positive and finite, got inf"),
+        (lambda prob, qp: EpsilonSchedule(1.0, np.float64(0.5)), "init_scale must be finite and >= 1, got 0.5"),
+        (lambda prob, qp: solve_lr_sinkhorn(prob, 1, gamma=np.float64(np.inf)),
+         "gamma must be positive and finite, got inf"),
+        (lambda prob, qp: DenseGeometry(np.zeros((2, 2)), np.float64(np.nan)),
+         "epsilon_default must be positive and finite, got nan"),
+        (lambda prob, qp: solve_gw(qp, eps=np.float64(-1.0)), "eps must be positive and finite, got -1.0"),
+        (lambda prob, qp: solve_gw(qp, eps_rel=np.float64(0.0)), "eps_rel must be positive and finite, got 0.0"),
+        (lambda prob, qp: SoftSortSpec(eps=np.float64(np.inf)), "eps must be positive and finite, got inf"),
+    ],
+    ids=["schedule-target", "schedule-init-scale", "lr-gamma", "epsilon-default", "gw-eps", "gw-eps-rel",
+         "softsort-eps"],
+)
+def test_numpy_scalar_inputs_are_echoed_as_plain_numbers(call, message):
+    prob, _ = two_point_problem()
+    points = np.array([[0.0], [1.0]])
+    qp = QuadraticProblem(PointCloudGeometry(points, points), PointCloudGeometry(points, points))
+    with pytest.raises(ValueError) as info:
+        call(prob, qp)
+    assert str(info.value) == message
 
 
 def test_solver_rejects_nonpositive_eps():

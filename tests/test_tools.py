@@ -107,6 +107,23 @@ def test_sort_transport_reports_convergence_and_marginals():
     npt.assert_allclose(plan.sum(axis=1), 0.2, atol=1e-4)
 
 
+def test_sort_transport_refuses_plans_above_the_cap_before_solving(monkeypatch):
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 20)
+    plan, converged = sort_transport(FIGURE_ARRAY, SoftSortSpec(num_targets=4))  # 5 x 4, at the cap
+    assert converged and plan.shape == (5, 4)
+    solves = []
+
+    def no_solve(*args):
+        solves.append(args)
+        raise AssertionError("solved a plan that cannot be materialized")
+
+    monkeypatch.setattr("otkit.sinkhorn._sinkhorn_iterations", no_solve)
+    for call in (sort_transport, soft_sort, soft_rank):
+        with pytest.raises(ValueError, match="5x5 = 25 entries exceeds the materialization cap 20"):
+            call(FIGURE_ARRAY)
+    assert solves == []
+
+
 def test_unsquashed_mode_uses_raw_values():
     x = np.array([0.1, 0.9])
     out = soft_sort(x, SoftSortSpec(eps=1e-3, squash="none"))
