@@ -5,9 +5,10 @@ support, finds the weight vector p minimizing the weighted sum of
 entropic OT costs to the inputs. Classic scaling iterations: per
 histogram scalings (u_k, v_k) are updated against the shared barycenter
 p, which is the weighted geometric mean of the back-projected scalings.
-Each half-step is a Sinkhorn update through the geometry's kernel step,
-so it runs on Sinkhorn's kernel (per-axis kernels on grids) and in the
-log domain where that kernel is declined, zero histogram entries are
+Each pair of half-steps is a Sinkhorn sweep through the geometry's
+kernel step, so it runs on Sinkhorn's kernel (per-axis kernels on grids,
+streamed from cost blocks on point clouds above ``DEFAULT_DENSE_CAP``)
+and in the log domain where that kernel is declined, zero histogram entries are
 fine, and an eps too small for the costs raises ``DivergedError``
 instead of returning NaN.
 """
@@ -98,8 +99,7 @@ def solve_barycenter(
         log_hists = np.log(bp.histograms)
         for t in range(1, max_iters + 1):
             for i in range(k):
-                f = eps * log_hists[i] - step(g[i], eps, "rows", t)
-                back[i] = step(f, eps, "cols", t)
+                _, back[i] = step.sweep(g[i], eps, bp.histograms[i], log_hists[i], t)
             log_p = (bp.weights @ back) / eps
             p = np.exp(log_p)
             if not np.isfinite(p).all():

@@ -6,8 +6,9 @@ Solvers interact with costs exclusively through the geometry: it
 materializes the matrix (``cost_matrix``), applies the Gibbs kernel
 exp(-C/eps) to a vector (``apply_kernel``) or in the log domain
 (``apply_lse_kernel``), and builds and applies a solve's kernel
-(``_gibbs``, ``_contract``), which ``_KernelStep`` uses for Sinkhorn and
-the barycenter, falling back to the log domain. Couplings are formed
+(``_gibbs``, ``_contract``, and ``_sweep`` for the two products of a
+Sinkhorn sweep), which ``_KernelStep`` uses for Sinkhorn and the
+barycenter, falling back to the log domain. Couplings are formed
 only in row blocks (``_cost_blocks``, ``_plan_blocks``): ``reg_ot_cost``,
 ``grad_points`` and ``otkit lin`` without ``--coupling-out`` stream them,
 while ``transport_matrix`` (``--coupling-out``), the low-rank solver and
@@ -19,7 +20,10 @@ Backends:
 * :class:`DenseGeometry` wraps an explicit cost matrix.
 * :class:`PointCloudGeometry` derives costs from two point sets and
   streams kernel applications over row blocks, so the matrix never has
-  to exist in memory.
+  to exist in memory. A solve's kernel is one n x m matrix up to
+  ``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
+  kernel from the cost blocks, and a sweep's two products share one
+  pass over them.
 * :class:`GridGeometry` handles costs that separate over the axes of a
   Cartesian grid; kernel applications, the solvers' included, factor
   into one small contraction per axis at any grid size, and nothing
@@ -186,20 +190,26 @@ class Geometry:
 
     def _cost_blocks(self, transpose: bool = False):
         """Yields ``(start, stop, cost_rows)`` over blocks of ``block_size``
-        rows of C, or of C^T when ``transpose``, from ``_cost_rows``."""
-        n = self.shape[1 if transpose else 0]
+        rows of C, or of C^T when ``transpose``, from ``_cost_rows``. One
+        pair of block buffers serves the whole pass, so a block may be
+        overwritten by the next one."""
+        n, m = self.shape[::-1] if transpose else self.shape
+        buffers = np.empty((2, min(self.block_size, n), m))
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            yield start, stop, self._cost_rows(start, stop, transpose)
+            yield start, stop, self._cost_rows(start, stop, transpose, out=buffers[:, : stop - start])
 
     def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
         """Yields ``(start, stop, cost_rows, plan_rows)`` of the coupling
-        exp((f + g - C)/eps) over the row blocks of ``_cost_blocks``."""
+        exp((f + g - C)/eps) over the row blocks of ``_cost_blocks``. The
+        plan rows, too, share one buffer over the pass."""
         n, m = self.shape
         f = _check_potential(f, n, "f")
         g = _check_potential(g, m, "g")
+        buffer = np.empty((min(self.block_size, n), m))
         for start, stop, cost in self._cost_blocks():
-            plan = f[start:stop, None] + g[None, :] - cost
+            plan = np.add(f[start:stop, None], g[None, :], out=buffer[: stop - start])
+            plan -= cost
             plan /= eps
             yield start, stop, cost, np.exp(plan, out=plan)
 
@@ -215,22 +225,38 @@ class Geometry:
         if n * m > DEFAULT_DENSE_CAP:
             return None
         kernel = old[0][0] if old else np.empty((n, m))
+        span = self._midrange(eps, kernel)
+        if span is None:
+            return None
+        shift, half_range = span
+        np.subtract(shift, kernel, out=kernel)
+        kernel /= eps
+        return (np.exp(kernel, out=kernel),), shift, _TINY * np.exp(half_range / eps)
+
+    def _midrange(self, eps: float, copy: np.ndarray | None = None) -> tuple | None:
+        """``(c, half_range)`` of C from one pass over its blocks, copied
+        into ``copy`` if given, or None as soon as half the range over eps
+        exceeds ``_KERNEL_EXPONENT_LIMIT``."""
         lo, hi = np.inf, -np.inf
         for start, stop, cost in self._cost_blocks():
             lo, hi = min(lo, cost.min()), max(hi, cost.max())
             if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
                 return None
-            kernel[start:stop] = cost
+            if copy is not None:
+                copy[start:stop] = cost
         half_range = 0.5 * (hi - lo)
-        shift = lo + half_range
-        np.subtract(shift, kernel, out=kernel)
-        kernel /= eps
-        return (np.exp(kernel, out=kernel),), shift, _TINY * np.exp(half_range / eps)
+        return lo + half_range, half_range
 
     def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
         """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
         (kernel,) = factors
         return kernel @ v if axis == "rows" else v @ kernel
+
+    def _sweep(self, factors, v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(K v, K^T (a / K v))``, K from ``_gibbs``: the two products of
+        one Sinkhorn sweep in scaling form."""
+        kv = self._contract(factors, v, "rows")
+        return kv, self._contract(factors, a / kv, "cols")
 
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
@@ -247,13 +273,19 @@ class Geometry:
             )
 
 
+def _normal(product: np.ndarray, floor: float) -> bool:
+    """Whether a kernel product lies in [floor, inf), NaN-free."""
+    return product.min() >= floor and product.max() < np.inf
+
+
 class _KernelStep:
     """``eps * log(K exp(p / eps))``, K = exp(-C/eps), for one solve.
 
-    ``"rows"`` maps a length-m p to length n, ``"cols"`` a length-n p to
-    length m. It multiplies by the geometry's kernel on the cost shifted
-    by its midrange (``_gibbs``), built again whenever eps changes. When
-    the geometry declines, and from the first product outside float64's
+    Called, it maps a length-m p to length n, as the convergence check
+    needs; ``sweep`` makes both half-steps of a Sinkhorn sweep. It
+    multiplies by the geometry's kernel on the cost shifted by its
+    midrange (``_gibbs``), built again whenever eps changes. When the
+    geometry declines, and from the first product outside float64's
     normal range on, it calls ``apply_lse_kernel`` and raises
     ``DivergedError`` at iteration t on a non-finite result. Callers run
     it under ``np.errstate(all="ignore")``.
@@ -263,20 +295,44 @@ class _KernelStep:
         # gibbs is () before the first build and None in the log domain.
         self.geom, self.gibbs, self.eps = geom, (), None
 
-    def __call__(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
+    def __call__(self, p: np.ndarray, eps: float, t: int) -> np.ndarray:
+        if self._on_kernel(eps):
+            factors, shift, floor = self.gibbs
+            # The kernel exp((c - C)/eps) is e^{c/eps} K, so c comes off the log.
+            kv = self.geom._contract(factors, np.exp(p / eps), "rows")
+            if _normal(kv, floor):
+                return eps * np.log(kv) - shift
+            self._leave(t)
+        return self._lse(p, eps, "rows", t)
+
+    def sweep(self, g: np.ndarray, eps: float, a: np.ndarray, log_a: np.ndarray, t: int):
+        """``(f, eps * log(K^T exp(f / eps)))`` for f = eps log a - step(g).
+
+        Both products come from one ``_sweep``: a over the first product
+        is exp((f - c)/eps), the second product's input. When either
+        leaves the normal range the whole sweep runs again in the log
+        domain, from the same g.
+        """
+        if self._on_kernel(eps):
+            factors, shift, floor = self.gibbs
+            kv, ktu = self.geom._sweep(factors, np.exp(g / eps), a)
+            if _normal(kv, floor) and _normal(ktu, floor):
+                return eps * log_a - (eps * np.log(kv) - shift), eps * np.log(ktu)
+            self._leave(t)
+        f = eps * log_a - self._lse(g, eps, "rows", t)
+        return f, self._lse(f, eps, "cols", t)
+
+    def _on_kernel(self, eps: float) -> bool:
+        """Whether the step runs on a kernel at eps, built again when eps changed."""
         if self.gibbs is not None and eps != self.eps:
             self.gibbs, self.eps = self.geom._gibbs(eps, self.gibbs), eps
-        if self.gibbs is not None:
-            factors, shift, floor = self.gibbs
-            # "rows" results and "cols" inputs carry the shift: from g near
-            # 0, f = eps log a - step(g, "rows") lies near c, so both
-            # scalings stay near the weights' scale.
-            rows = axis == "rows"
-            kv = self.geom._contract(factors, np.exp((p if rows else p - shift) / eps), axis)
-            if kv.min() >= floor and kv.max() < np.inf:
-                return eps * np.log(kv) - (shift if rows else 0.0)
-            logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
-            self.gibbs = None
+        return self.gibbs is not None
+
+    def _leave(self, t: int) -> None:
+        logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
+        self.gibbs = None
+
+    def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
         f, g = (zeros, p) if axis == "rows" else (p, zeros)
         r = self.geom.apply_lse_kernel(f, g, eps, axis)
@@ -301,7 +357,7 @@ class DenseGeometry(Geometry):
     def mean_cost(self) -> float:
         return float(self._cost.mean())
 
-    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
         return (self._cost.T if transpose else self._cost)[start:stop]
 
     def apply_kernel(self, v, eps=None, axis="rows"):
@@ -329,7 +385,9 @@ class PointCloudGeometry(Geometry):
     materialize at most ``block_size`` cost rows at a time, so memory
     stays O(block_size * max(n, m)). The block size is a performance
     knob only; every output entry is reduced over its full axis in one
-    call, so results do not depend on it.
+    call, so results do not depend on it. The one exception is the
+    second product of a streamed sweep above ``DEFAULT_DENSE_CAP``,
+    which sums over row blocks and so depends on them up to rounding.
     """
 
     def __init__(
@@ -367,32 +425,37 @@ class PointCloudGeometry(Geometry):
         # which pairwise formulas only give up to rounding.
         self._same_points = x is y or (x.shape == y.shape and np.array_equal(x, y))
 
-    def _cost_block(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False) -> np.ndarray:
+    def _cost_block(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False, out=None) -> np.ndarray:
         """Costs between every row of xs and every row of ys, or with
-        ``pairs`` only between xs[k] and ys[k]."""
+        ``pairs`` only between xs[k] and ys[k]. ``out``, a pair of
+        (len(xs), len(ys)) arrays, holds the block and its cross term
+        instead of new arrays."""
+        block, cross = (None, None) if out is None else out
 
-        def dot(u, v):
-            return np.einsum("kd,kd->k", u, v) if pairs else u @ v.T
+        def dot(u, v, into):
+            return np.einsum("kd,kd->k", u, v) if pairs else np.matmul(u, v.T, out=into)
 
         if self.cost_fn == "cosine":
             xy = dot(
                 xs / np.linalg.norm(xs, axis=1, keepdims=True),
                 ys / np.linalg.norm(ys, axis=1, keepdims=True),
+                block,
             )
             return np.subtract(1.0, xy, out=xy)
         xx = np.einsum("id,id->i", xs, xs)
         yy = np.einsum("jd,jd->j", ys, ys)
-        sq = xx + yy if pairs else xx[:, None] + yy[None, :]
-        sq -= dot(2.0 * xs, ys)
+        sq = xx + yy if pairs else np.add(xx[:, None], yy[None, :], out=block)
+        sq -= dot(2.0 * xs, ys, cross)
         np.maximum(sq, 0.0, out=sq)
         if self.cost_fn == "eucl":
             np.sqrt(sq, out=sq)
         return sq
 
-    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
-        """Cost rows [start, stop) of C, or of C^T when ``transpose``."""
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
+        """Cost rows [start, stop) of C, or of C^T when ``transpose``,
+        computed in the buffer pair ``out`` if given."""
         xs, ys = (self.y, self.x) if transpose else (self.x, self.y)
-        block = self._cost_block(xs[start:stop], ys)
+        block = self._cost_block(xs[start:stop], ys, out=out)
         if self._same_points:
             idx = np.arange(start, min(stop, ys.shape[0]))
             block[idx - start, idx] = 0.0
@@ -410,16 +473,53 @@ class PointCloudGeometry(Geometry):
             vals = np.where(i == j, 0.0, vals)
         return float(vals.mean())
 
+    def _gibbs(self, eps, old):
+        # Under the cap, the n x m kernel. Above it, the kernel is streamed
+        # from the cost blocks at every product, so a build is one pass
+        # that finds the midrange and the floor.
+        n, m = self.shape
+        if n * m <= DEFAULT_DENSE_CAP:
+            return super()._gibbs(eps, old)
+        span = self._midrange(eps)
+        if span is None:
+            return None
+        shift, half_range = span
+        return (shift, eps), shift, _TINY * np.exp(half_range / eps)
+
+    def _kernel_blocks(self, shift: float, eps: float, transpose: bool = False):
+        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over
+        ``_cost_blocks``, each computed in its cost block's buffer."""
+        for start, stop, cost in self._cost_blocks(transpose):
+            np.subtract(shift, cost, out=cost)
+            cost /= eps
+            yield start, stop, np.exp(cost, out=cost)
+
+    def _contract(self, factors, v, axis):
+        if len(factors) == 1:  # the n x m kernel
+            return super()._contract(factors, v, axis)
+        # The streamed kernel; its "cols" contraction is the "rows" one over (y, x).
+        out = np.empty(self.shape[0 if axis == "rows" else 1])
+        for start, stop, kernel in self._kernel_blocks(*factors, axis == "cols"):
+            out[start:stop] = kernel @ v
+        return out
+
+    def _sweep(self, factors, v, a):
+        if len(factors) == 1:
+            return super()._sweep(factors, v, a)
+        # Both products of the streamed kernel from one pass over its blocks.
+        kv = np.empty(self.shape[0])
+        ktu = np.zeros(self.shape[1])
+        for start, stop, kernel in self._kernel_blocks(*factors):
+            kv[start:stop] = kernel @ v
+            ktu += (a[start:stop] / kv[start:stop]) @ kernel
+        return kv, ktu
+
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        # The "cols" contraction is the "rows" one over (y, x).
-        n, m = self.shape if axis == "rows" else self.shape[::-1]
-        v = _check_vector(v, m, "v")
-        out = np.empty(n)
-        for start, stop, cost in self._cost_blocks(axis == "cols"):
-            out[start:stop] = np.exp(-cost / eps) @ v
-        return out
+        v = _check_vector(v, self.shape[1 if axis == "rows" else 0], "v")
+        # The streamed kernel at shift 0: 0 - C is exactly -C.
+        return self._contract((0.0, eps), v, axis)
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -482,7 +582,7 @@ class GridGeometry(Geometry):
         # at every size, with no sampling and nothing N x N.
         return float(sum(c.mean() for c in self.cost_matrices))
 
-    def _cost_rows(self, start: int, stop: int, transpose: bool = False) -> np.ndarray:
+    def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
         # Row i of C is the sum over axes k of row i_k of cost matrix k,
         # broadcast along grid axis k; (i_k) is the multi-index of i.
         rows = stop - start

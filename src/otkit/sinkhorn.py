@@ -2,10 +2,11 @@
 
 Solves ``min_{P in U(a,b)} <C, P> + eps <P, log P - 1>`` by alternating
 exact maximization of the dual over the potentials (f, g):
-f = eps log a - eps log(K e^{g/eps}), then g likewise against b. Every
-kernel application goes through the geometry's kernel step: a cached
-kernel (per-axis on grids), else the log domain, which keeps very small
-eps usable. The coupling is only materialized on demand
+f = eps log a - eps log(K e^{g/eps}), then g likewise against b. Each
+such sweep goes through the geometry's kernel step: a kernel built once
+per eps (per-axis on grids, recomputed from cost blocks on point clouds
+above ``DEFAULT_DENSE_CAP``, one pass per sweep), else the log domain,
+which keeps very small eps usable. The coupling is only materialized on demand
 (``transport_matrix``), while the cost and gradient reductions stream it
 in row blocks.
 """
@@ -130,9 +131,12 @@ def solve_sinkhorn(
     While half the cost range over eps fits in float64's exponent range,
     the sweeps multiply by the kernel exp((c - C)/eps), c the midrange of
     C, rebuilt when the schedule changes eps: one n x m matrix under
-    ``DEFAULT_DENSE_CAP`` entries, or one kernel per axis on grids of any
-    size. Otherwise, and from the first product outside the normal range,
-    they run in the log domain.
+    ``DEFAULT_DENSE_CAP`` entries, one kernel per axis on grids of any
+    size, and on point clouds above the cap a kernel recomputed from the
+    cost blocks, in one pass per sweep, so no n x m array is held.
+    Otherwise, and from the first product outside the normal range (the
+    whole sweep is then redone from the same g), they run in the log
+    domain.
 
     Args:
       prob: the problem to solve.
@@ -167,18 +171,16 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
     duals: list[float] = []
     converged = False
     t = 0
-    kg = None  # a check's step(g, e, "rows"); checks run at e == target only, so the next sweep reuses it
     with np.errstate(all="ignore"):
         log_a, log_b = np.log(prob.a), np.log(prob.b)
         for t in range(1, max_iters + 1):
             e = schedule.at(t - 1)
-            f = e * log_a - (step(g, e, "rows", t) if kg is None else kg)
-            g, kg = e * log_b - step(f, e, "cols", t), None
+            f, back = step.sweep(g, e, prob.a, log_a, t)
+            g = e * log_b - back
             if t % inner_iters == 0 or t == max_iters:
                 if e > target:
                     continue  # still warming up the schedule; errors not comparable yet
-                kg = step(g, e, "rows", t)
-                row = np.exp((f + kg) / e)
+                row = np.exp((f + step(g, e, t)) / e)
                 err = float(np.abs(row - prob.a).sum())
                 errors.append(err)
                 duals.append(_dual_objective(f, g, prob.a, prob.b, e, row.sum()))

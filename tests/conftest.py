@@ -42,7 +42,7 @@ def log_domain(monkeypatch):
     log domain, the reference."""
 
     def force():
-        for cls in (Geometry, GridGeometry):
+        for cls in (Geometry, PointCloudGeometry, GridGeometry):
             monkeypatch.setattr(cls, "_gibbs", lambda self, eps, old: None)
         monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
 

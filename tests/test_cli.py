@@ -265,7 +265,7 @@ def test_lin_low_rank_ignores_eps_with_a_warning(tmp_path, capsys, caplog):
         ]
 
 
-def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monkeypatch):
+def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monkeypatch, lse_calls):
     rng = np.random.default_rng(7)
     x = write_csv(tmp_path / "x.csv", rng.random((10, 2)))
     y = write_csv(tmp_path / "y.csv", rng.random((10, 2)))
@@ -274,6 +274,7 @@ def test_lin_streams_costs_above_the_materialization_cap(tmp_path, capsys, monke
     monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 50)  # below 10 x 10
     code, payload, _ = run(capsys, argv)
     assert code == 0
+    assert lse_calls == []  # the solve ran on the streamed kernel
     for key in ("transport_cost", "dual_objective"):
         assert payload[key] == pytest.approx(reference[key], rel=1e-12, abs=0)
     # Only the dense coupling is refused: exit 1 before any solve, and

@@ -1,5 +1,7 @@
 """Entropic solver: pinned examples, feasibility, duality, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -342,6 +344,11 @@ def sparse_weights(rng, size):
     return w / w.sum()
 
 
+# Below every "streamed-" case's size: those cases run with the dense cap
+# patched to it, so their clouds stream the kernel from cost blocks.
+STREAMED_CAP = 100
+
+
 def fast_path_cases():
     """name -> (problem, eps), with eps at most 30 times below the cost range."""
     rng = np.random.default_rng(21)
@@ -376,12 +383,27 @@ def fast_path_cases():
     cases["grid-asymmetric"] = (LinearProblem(asym, sparse_weights(rng, 35), sparse_weights(rng, 35)), 0.1)
     cube = GridGeometry([np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.linspace(0, 1, 3)])
     cases["grid-3-axes"] = (LinearProblem(cube, None, sparse_weights(rng, 60)), 0.05)
+    # Clouds above the cap, in blocks of 16 rows with a shorter last block.
+    for cost_fn in ("sqeucl", "eucl", "cosine"):
+        geom = PointCloudGeometry(x, y, cost_fn, block_size=16)
+        cases[f"streamed-{cost_fn}"] = (LinearProblem(geom), 0.1 * geom.mean_cost())
+    geom = PointCloudGeometry(x, y, block_size=16)
+    cases["streamed-zero-weights"] = (
+        LinearProblem(geom, sparse_weights(rng, 40), sparse_weights(rng, 30)),
+        0.05 * geom.mean_cost(),
+    )
+    geom = PointCloudGeometry(x, y, "eucl", block_size=16)
+    schedule = EpsilonSchedule(0.1 * geom.mean_cost(), init_scale=50.0, decay=0.6)
+    cases["streamed-schedule"] = (LinearProblem(geom), schedule)
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(fast_path_cases()))
-def test_kernel_scaling_matches_the_log_domain(name, lse_calls, log_domain):
+def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls, log_domain):
     prob, eps = fast_path_cases()[name]
+    if name.startswith("streamed-"):
+        assert prob.geom.shape[0] * prob.geom.shape[1] > STREAMED_CAP
+        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", STREAMED_CAP)
     calls = lse_calls
     fast = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert fast.converged and calls == []
@@ -454,25 +476,78 @@ def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_c
     npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
 
 
-def test_the_convergence_check_product_serves_the_next_sweep(monkeypatch, log_domain):
-    # A solve of T sweeps makes 2T kernel steps, plus the product of its
-    # last check, which no sweep follows.
+def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain):
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", STREAMED_CAP)
+    rng = np.random.default_rng(23)
+    geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)), block_size=8)
+    prob = LinearProblem(geom)
+    target = 0.1 * geom.mean_cost()
+    eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
+    original = PointCloudGeometry._kernel_blocks
+    streamed = []
+
+    def underflowing(self, shift, e, transpose=False):
+        streamed.append(e)
+        for start, stop, kernel in original(self, shift, e, transpose):
+            if e == target and start == 0:
+                kernel[0] = 0.0  # row 0 underflows once eps reaches its target
+            yield start, stop, kernel
+
+    monkeypatch.setattr(PointCloudGeometry, "_kernel_blocks", underflowing)
+    calls = lse_calls
+    out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert streamed == [4 * target, 2 * target, target]
+    assert calls and set(calls) == {"PointCloudGeometry"}
+    assert np.all(np.isfinite(out.f)) and np.all(np.isfinite(out.g))
+    log_domain()
+    ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
+    assert (out.iterations, out.converged) == (ref.iterations, ref.converged)
+    assert_potentials_close(out.f, ref.f, prob.a)
+    assert_potentials_close(out.g, ref.g, prob.b)
+    npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
+
+
+def test_a_solve_makes_one_sweep_per_iteration_and_one_product_per_check(monkeypatch, lse_calls, log_domain):
+    # A solve of T sweeps makes T sweep calls and one kernel step per
+    # convergence check; in the log domain each sweep is two log-sum-exps.
     calls = []
-    original = otkit.geometry._KernelStep.__call__
+    for name in ("sweep", "__call__"):
+        original = getattr(otkit.geometry._KernelStep, name)
 
-    def counting(self, *args):
-        calls.append(args[2])
-        return original(self, *args)
+        def counting(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
 
-    monkeypatch.setattr(otkit.geometry._KernelStep, "__call__", counting)
+        monkeypatch.setattr(otkit.geometry._KernelStep, name, counting)
     prob, eps = fast_path_cases()["cloud-sqeucl"]
-    for force in (lambda: None, log_domain):
+    for force, logged in ((lambda: None, False), (log_domain, True)):
         force()
         calls.clear()
+        lse_calls.clear()
         out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000, inner_iters=10)
-        assert out.converged and out.iterations >= 30
-        assert len(calls) == 2 * out.iterations + 1
-        assert calls.count("cols") == out.iterations
+        assert out.converged and out.iterations >= 30 and out.iterations % 10 == 0
+        checks = out.iterations // 10
+        assert calls.count("sweep") == out.iterations
+        assert calls.count("__call__") == checks and len(calls) == out.iterations + checks
+        assert len(lse_calls) == (2 * out.iterations + checks if logged else 0)
+
+
+def test_streamed_solve_and_cost_never_hold_a_cost_matrix(monkeypatch, lse_calls):
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10_000)
+    rng = np.random.default_rng(26)
+    n, m = 600, 600
+    geom = PointCloudGeometry(rng.random((n, 2)), rng.random((m, 2)), block_size=32)
+    prob = LinearProblem(geom)
+    eps = 0.1 * geom.mean_cost()
+    tracemalloc.start()
+    try:
+        out = solve_sinkhorn(prob, eps)
+        cost = reg_ot_cost(out, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.converged and np.isfinite(cost.transport_cost) and lse_calls == []
+    assert peak < n * m * 8 / 4
 
 
 @settings(max_examples=40, deadline=None)
