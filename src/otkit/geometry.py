@@ -5,15 +5,17 @@ locations without necessarily storing the full n-by-m cost matrix.
 Solvers interact with costs exclusively through the geometry: it
 materializes the matrix (``cost_matrix``), applies the Gibbs kernel
 exp(-C/eps) to a vector (``apply_kernel``) or in the log domain
-(``apply_lse_kernel``), and builds and applies a solve's kernel
-(``_gibbs``, ``_contract``, and ``_sweep`` for the two products of a
-Sinkhorn sweep), which ``_KernelStep`` uses for Sinkhorn and the
-barycenter, falling back to the log domain. Couplings are formed
-only in row blocks (``_cost_blocks``, ``_plan_blocks``): ``reg_ot_cost``,
-``grad_points`` and ``otkit lin`` without ``--coupling-out`` stream them,
-while ``transport_matrix`` (``--coupling-out``), the low-rank solver and
-Gromov-Wasserstein materialize n x m matrices and refuse above
-``DEFAULT_DENSE_CAP`` entries.
+(``apply_lse_kernel``), and builds a solve's kernel (``_gibbs``) and
+applies it, one product at a time (``_contract``) or both products of
+a Sinkhorn sweep at once (``_sweep``). ``_KernelStep.sweep`` runs on
+these for Sinkhorn, whose convergence check reads the next sweep's
+first product, and for the barycenter, falling back to the log domain.
+Couplings are formed only in row blocks (``_cost_blocks``,
+``_plan_blocks``): ``reg_ot_cost``, ``grad_points`` and ``otkit lin``
+without ``--coupling-out`` stream them, while ``transport_matrix``
+(``--coupling-out``), the low-rank solver and Gromov-Wasserstein
+materialize n x m matrices and refuse above ``DEFAULT_DENSE_CAP``
+entries.
 
 Backends:
 
@@ -279,34 +281,21 @@ def _normal(product: np.ndarray, floor: float) -> bool:
 
 
 class _KernelStep:
-    """``eps * log(K exp(p / eps))``, K = exp(-C/eps), for one solve.
-
-    Called, it maps a length-m p to length n, as the convergence check
-    needs; ``sweep`` makes both half-steps of a Sinkhorn sweep. It
-    multiplies by the geometry's kernel on the cost shifted by its
-    midrange (``_gibbs``), built again whenever eps changes. When the
-    geometry declines, and from the first product outside float64's
-    normal range on, it calls ``apply_lse_kernel`` and raises
-    ``DivergedError`` at iteration t on a non-finite result. Callers run
-    it under ``np.errstate(all="ignore")``.
+    """A solve's Sinkhorn sweeps (``sweep``), each two products
+    ``eps * log(K exp(p / eps))``, K = exp(-C/eps), on the geometry's
+    kernel of the cost shifted by its midrange (``_gibbs``), built again
+    whenever eps changes. When the geometry declines, and from the first
+    product outside float64's normal range on, it calls
+    ``apply_lse_kernel`` and raises ``DivergedError`` at sweep t on a
+    non-finite result. Callers run it under ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, geom: Geometry):
         # gibbs is () before the first build and None in the log domain.
         self.geom, self.gibbs, self.eps = geom, (), None
 
-    def __call__(self, p: np.ndarray, eps: float, t: int) -> np.ndarray:
-        if self._on_kernel(eps):
-            factors, shift, floor = self.gibbs
-            # The kernel exp((c - C)/eps) is e^{c/eps} K, so c comes off the log.
-            kv = self.geom._contract(factors, np.exp(p / eps), "rows")
-            if _normal(kv, floor):
-                return eps * np.log(kv) - shift
-            self._leave(t)
-        return self._lse(p, eps, "rows", t)
-
     def sweep(self, g: np.ndarray, eps: float, a: np.ndarray, log_a: np.ndarray, t: int):
-        """``(f, eps * log(K^T exp(f / eps)))`` for f = eps log a - step(g).
+        """``(f, eps log(K^T e^{f/eps}))`` for f = eps log a - eps log(K e^{g/eps}).
 
         Both products come from one ``_sweep``: a over the first product
         is exp((f - c)/eps), the second product's input. When either
@@ -444,7 +433,12 @@ class PointCloudGeometry(Geometry):
             return np.subtract(1.0, xy, out=xy)
         xx = np.einsum("id,id->i", xs, xs)
         yy = np.einsum("jd,jd->j", ys, ys)
-        sq = xx + yy if pairs else np.add(xx[:, None], yy[None, :], out=block)
+        if pairs:
+            sq = xx + yy
+        else:  # a row-broadcast copy and an in-place add beat one broadcast add
+            sq = np.empty((len(xx), len(yy))) if block is None else block
+            np.copyto(sq, xx[:, None])
+            sq += yy
         sq -= dot(2.0 * xs, ys, cross)
         np.maximum(sq, 0.0, out=sq)
         if self.cost_fn == "eucl":

@@ -143,8 +143,10 @@ def solve_sinkhorn(
       eps: regularization strength; a float, an :class:`EpsilonSchedule`
         decaying toward its target, or ``None`` for the geometry default.
       threshold: stop once the L1 row-marginal error drops below this.
-      max_iters: hard cap on the number of (f, g) sweeps.
-      inner_iters: check convergence every this many sweeps.
+      max_iters: hard cap on the number of (f, g) sweeps returned; a
+        check at the cap, like every check, runs one more sweep.
+      inner_iters: check convergence every this many sweeps, from the
+        first product of the next sweep, which is K e^{g/eps}.
 
     Returns:
       A :class:`SinkhornOutput`; ``converged`` is False when the
@@ -152,7 +154,8 @@ def solve_sinkhorn(
 
     Raises:
       DivergedError: if a log-domain kernel application is not finite,
-        which points at an eps too small for the cost scale.
+        which points at an eps too small for the cost scale; its
+        ``iteration`` is the sweep whose product failed.
     """
     return _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, None)
 
@@ -169,24 +172,27 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
     step = _KernelStep(geom)
     errors: list[float] = []
     duals: list[float] = []
-    converged = False
+    converged = checking = False
     t = 0
     with np.errstate(all="ignore"):
         log_a, log_b = np.log(prob.a), np.log(prob.b)
-        for t in range(1, max_iters + 1):
-            e = schedule.at(t - 1)
-            f, back = step.sweep(g, e, prob.a, log_a, t)
-            g = e * log_b - back
-            if t % inner_iters == 0 or t == max_iters:
-                if e > target:
-                    continue  # still warming up the schedule; errors not comparable yet
-                row = np.exp((f + step(g, e, t)) / e)
+        while t < max_iters or checking:
+            e = schedule.at(t)
+            f_next, back = step.sweep(g, e, prob.a, log_a, t + 1)
+            if checking:
+                # f_next = eps log a - eps log(K e^{g/eps}), so the row marginal
+                # of (f, g) is a e^{(f - f_next)/eps}; f is -inf where a is 0.
+                row = np.where(prob.a > 0, prob.a * np.exp((f - f_next) / e), 0.0)
                 err = float(np.abs(row - prob.a).sum())
                 errors.append(err)
                 duals.append(_dual_objective(f, g, prob.a, prob.b, e, row.sum()))
-                if err <= threshold:
-                    converged = True
+                converged = err <= threshold
+                if converged or t == max_iters:
                     break
+            t += 1
+            f, g = f_next, e * log_b - back
+            # While the schedule warms up, errors are not comparable yet.
+            checking = (t % inner_iters == 0 or t == max_iters) and e <= target
     if not converged:
         logger.info("sinkhorn: no convergence after %d iterations (last error %s)", t, errors[-1] if errors else None)
     return SinkhornOutput(

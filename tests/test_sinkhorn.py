@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.geometry
+import otkit.sinkhorn
 from otkit import (
     DenseGeometry,
     DivergedError,
@@ -415,6 +416,14 @@ def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls, log
     assert_potentials_close(fast.f - shift, ref.f - ref_shift, prob.a)
     assert_potentials_close(fast.g + shift, ref.g + ref_shift, prob.b)
     npt.assert_allclose(fast.errors, ref.errors, rtol=0, atol=1e-12)
+    # The last error is the returned pair's, zero-weight rows included.
+    assert abs(fast.errors[-1] - row_error(fast, prob)) <= 1e-12
+
+
+def row_error(out, prob):
+    """L1 row-marginal error of the returned (f, g), reduced over plan blocks."""
+    row = np.concatenate([plan.sum(axis=1) for *_, plan in prob.geom._plan_blocks(out.f, out.g, out.eps)])
+    return np.abs(row - prob.a).sum()
 
 
 def test_gw_warm_started_inner_solves_match_the_log_domain(lse_calls, log_domain):
@@ -507,29 +516,69 @@ def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypat
     npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
 
 
-def test_a_solve_makes_one_sweep_per_iteration_and_one_product_per_check(monkeypatch, lse_calls, log_domain):
-    # A solve of T sweeps makes T sweep calls and one kernel step per
-    # convergence check; in the log domain each sweep is two log-sum-exps.
+def counted_sweeps(monkeypatch) -> list:
+    """Lets Sinkhorn reach its kernel step only through ``sweep``, and
+    records each call."""
     calls = []
-    for name in ("sweep", "__call__"):
-        original = getattr(otkit.geometry._KernelStep, name)
+
+    class Counting:
+        def __init__(self, geom):
+            self.step = otkit.geometry._KernelStep(geom)
+
+        def sweep(self, *args):
+            calls.append("sweep")
+            return self.step.sweep(*args)
+
+    monkeypatch.setattr(otkit.sinkhorn, "_KernelStep", Counting)
+    return calls
+
+
+def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(monkeypatch, lse_calls, log_domain):
+    # A check reads the next sweep's first product, so a solve returned
+    # after T sweeps makes T + 1 and no other product: on the kernel, one
+    # _sweep of two contractions each; in the log domain, two log-sum-exps.
+    calls = counted_sweeps(monkeypatch)
+    products = []
+    for name in ("_sweep", "_contract"):
+        original = getattr(otkit.geometry.Geometry, name)
 
         def counting(self, *args, _name=name, _original=original):
-            calls.append(_name)
+            products.append(_name)
             return _original(self, *args)
 
-        monkeypatch.setattr(otkit.geometry._KernelStep, name, counting)
+        monkeypatch.setattr(otkit.geometry.Geometry, name, counting)
     prob, eps = fast_path_cases()["cloud-sqeucl"]
+    assert not callable(otkit.geometry._KernelStep(prob.geom))
     for force, logged in ((lambda: None, False), (log_domain, True)):
         force()
         calls.clear()
+        products.clear()
         lse_calls.clear()
         out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000, inner_iters=10)
         assert out.converged and out.iterations >= 30 and out.iterations % 10 == 0
-        checks = out.iterations // 10
-        assert calls.count("sweep") == out.iterations
-        assert calls.count("__call__") == checks and len(calls) == out.iterations + checks
-        assert len(lse_calls) == (2 * out.iterations + checks if logged else 0)
+        sweeps = out.iterations + 1
+        assert calls == ["sweep"] * sweeps
+        assert products == ([] if logged else ["_sweep", "_contract", "_contract"] * sweeps)
+        assert lse_calls == (["PointCloudGeometry"] * 2 * sweeps if logged else [])
+
+
+def test_stops_at_max_iters_check_the_returned_pair_unless_warming_up(monkeypatch):
+    calls = counted_sweeps(monkeypatch)
+    rng = np.random.default_rng(27)
+    geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
+    prob = LinearProblem(geom, sparse_weights(rng, 20), None)
+    target = 0.02 * geom.mean_cost()
+    # Checks after sweeps 10, 20, 30 and 37, the last read from a 38th.
+    out = solve_sinkhorn(prob, target, threshold=1e-12, max_iters=37, inner_iters=10)
+    assert (out.iterations, out.converged, len(out.errors), len(out.dual_trace)) == (37, False, 4, 4)
+    assert abs(out.errors[-1] - row_error(out, prob)) <= 1e-12
+    assert len(calls) == 38
+    # A schedule still above its target at max_iters checks nothing, so
+    # it makes no sweep beyond the cap.
+    calls.clear()
+    out = solve_sinkhorn(prob, EpsilonSchedule(target, init_scale=50.0, decay=0.9), max_iters=20, inner_iters=10)
+    assert (out.iterations, out.converged, len(out.errors), len(out.dual_trace)) == (20, False, 0, 0)
+    assert len(calls) == 20
 
 
 def test_streamed_solve_and_cost_never_hold_a_cost_matrix(monkeypatch, lse_calls):
