@@ -42,7 +42,7 @@ from .lowrank import lr_coupling, solve_lr_sinkhorn
 from .quadratic import QuadraticProblem, solve_gw
 from .reference import exact_gw_2x2, exact_lp_uniform
 from .sinkhorn import LinearProblem, _as_weights, reg_ot_cost, solve_sinkhorn, transport_matrix
-from .tools import SoftSortSpec, _ranks, _sorted_values, gmm_distance, sort_transport
+from .tools import SoftSortSpec, _soft_sort_rank, gmm_distance
 
 logger = logging.getLogger(__name__)
 
@@ -257,20 +257,18 @@ def _cmd_softsort(args) -> dict:
     spec = SoftSortSpec(**_given(args, "num_targets", "eps"))
     sweep = _parse_sweep(args.eps_sweep) if args.eps_sweep else None
     opts = _given(args, "threshold", "max_iters")
-    plan, converged = sort_transport(x, spec, **opts)
+    values, ranks, converged = _soft_sort_rank(x, spec, **opts)
     payload = {
         "command": "softsort",
         "eps": spec.eps,
         "converged": converged,
-        "sorted_values": _sorted_values(plan, x).tolist(),
-        "ranks": _ranks(plan).tolist() if plan.shape == (x.size, x.size) else None,
+        "sorted_values": values.tolist(),
+        "ranks": None if ranks is None else ranks.tolist(),
     }
     if sweep is not None:
-        payload["sweep"] = []
-        for eps in sweep:
-            plan_e, conv_e = sort_transport(x, dataclasses.replace(spec, eps=eps), **opts)
-            payload["converged"] = payload["converged"] and conv_e
-            payload["sweep"].append({"eps": eps, "sorted_values": _sorted_values(plan_e, x).tolist()})
+        runs = [_soft_sort_rank(x, dataclasses.replace(spec, eps=eps), **opts) for eps in sweep]
+        payload["converged"] = converged and all(run[2] for run in runs)
+        payload["sweep"] = [{"eps": eps, "sorted_values": run[0].tolist()} for eps, run in zip(sweep, runs)]
     return payload
 
 

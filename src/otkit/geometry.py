@@ -11,11 +11,11 @@ a Sinkhorn sweep at once (``_sweep``). ``_KernelStep.sweep`` runs on
 these for Sinkhorn, whose convergence check reads the next sweep's
 first product, and for the barycenter, falling back to the log domain.
 Couplings are formed only in row blocks (``_cost_blocks``,
-``_plan_blocks``): ``reg_ot_cost``, ``grad_points`` and ``otkit lin``
-without ``--coupling-out`` stream them, while ``transport_matrix``
-(``--coupling-out``), the low-rank solver and Gromov-Wasserstein
-materialize n x m matrices and refuse above ``DEFAULT_DENSE_CAP``
-entries.
+``_plan_blocks``): ``reg_ot_cost``, ``grad_points``, soft sorting and
+``otkit lin`` without ``--coupling-out`` stream them, while
+``transport_matrix`` (``--coupling-out``, ``sort_transport``), the
+low-rank solver and Gromov-Wasserstein materialize n x m matrices and
+refuse above ``DEFAULT_DENSE_CAP`` entries.
 
 Backends:
 

@@ -1,9 +1,9 @@
 """Differentiable-programming utilities built on the entropic solver.
 
-Soft sorting and ranking cast order statistics as a 1-D transport
-problem between the (rescaled) input values and a fixed grid of
-targets; Gaussian and Gaussian-mixture distances combine the closed
-form between Gaussians with a small discrete OT over mixture weights.
+Soft sorting and ranking reduce, in row blocks, the plan of a 1-D
+transport problem between the (rescaled) input values and a fixed
+grid of targets; Gaussian and Gaussian-mixture distances combine the
+Gaussian closed form with a small discrete OT over mixture weights.
 """
 
 from __future__ import annotations
@@ -65,27 +65,13 @@ def sort_transport(
 
     Returns the n x m transport plan (uniform weights on both sides,
     squared cost in squashed units) and whether the solve converged.
-    Both :func:`soft_sort` and :func:`soft_rank` are projections of
-    this plan. The plan is dense, so n * m must not exceed
-    ``DEFAULT_DENSE_CAP``; above it, a ``ValueError`` is raised before
-    solving.
+    :func:`soft_sort` and :func:`soft_rank` reduce this plan in row
+    blocks without building it. Here it is dense, so n * m must not
+    exceed ``DEFAULT_DENSE_CAP``; above it, a ``ValueError`` is raised
+    before solving.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a non-empty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
-    n = x.size
-    m = spec.num_targets if spec.num_targets is not None else n
-    if spec.squash == "minmax":
-        span = x.max() - x.min()
-        squashed = (x - x.min()) / span if span > 0 else np.full(n, 0.5)
-    else:
-        squashed = x
-    targets = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])
-    geom = PointCloudGeometry(squashed[:, None], targets[:, None], "sqeucl")
-    geom._check_cap(None)
-    prob = LinearProblem(geom)
+    _, prob = _sort_problem(x, spec)
+    prob.geom._check_cap(None)
     out = solve_sinkhorn(prob, spec.eps, threshold=threshold, max_iters=max_iters)
     return transport_matrix(out, prob).matrix, out.converged
 
@@ -102,13 +88,10 @@ def soft_sort(
     Transports the squashed inputs (uniform weights) onto equally
     spaced targets in [0, 1] and reads off the barycentric projection
     of the original values: entry j is ``m * (P^T x)_j``. Small eps
-    approaches the hard sort; large eps flattens toward the mean. Like
-    :func:`sort_transport`, it refuses inputs with n * m above
-    ``DEFAULT_DENSE_CAP`` before solving.
+    approaches the hard sort; large eps flattens toward the mean. The
+    plan is reduced in row blocks, so any n * m works.
     """
-    x = np.asarray(x, dtype=float)
-    plan, _ = sort_transport(x, spec, threshold=threshold, max_iters=max_iters)
-    return _sorted_values(plan, x)
+    return _soft_sort_rank(x, spec, threshold=threshold, max_iters=max_iters)[0]
 
 
 def soft_rank(
@@ -123,22 +106,41 @@ def soft_rank(
     Requires as many targets as inputs; ranks are ``n * (P @ (0..n-1))``
     and approach the integer ranks as eps shrinks.
     """
-    x = np.asarray(x, dtype=float)
-    if spec.num_targets is not None and spec.num_targets != x.size:
+    if spec.num_targets is not None and spec.num_targets != np.size(x):
         raise ValueError("soft_rank requires num_targets == len(x)")
-    plan, _ = sort_transport(x, spec, threshold=threshold, max_iters=max_iters)
-    return _ranks(plan)
+    return _soft_sort_rank(x, spec, threshold=threshold, max_iters=max_iters)[1]
 
 
-def _sorted_values(plan: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Soft-sorted values: m times the barycentric projection P^T x."""
-    return plan.shape[1] * (plan.T @ x)
+def _sort_problem(x: np.ndarray, spec: SoftSortSpec) -> tuple[np.ndarray, LinearProblem]:
+    """The validated input and its transport problem onto the sort targets."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("input must be a non-empty 1-D array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains non-finite entries")
+    m = spec.num_targets if spec.num_targets is not None else x.size
+    if spec.squash == "minmax":
+        # Halved (exact above the subnormals), the span cannot overflow.
+        lo, hi = x.min() / 2, x.max() / 2
+        squashed = (x / 2 - lo) / (hi - lo) if hi > lo else np.full_like(x, 0.5)
+    else:
+        squashed = x
+    targets = np.linspace(0.0, 1.0, m) if m > 1 else np.array([0.5])
+    return x, LinearProblem(PointCloudGeometry(squashed[:, None], targets[:, None], "sqeucl"))
 
 
-def _ranks(plan: np.ndarray) -> np.ndarray:
-    """Soft ranks: n times the expected target index P (0..n-1)."""
-    n = plan.shape[0]
-    return n * (plan @ np.arange(n, dtype=float))
+def _soft_sort_rank(x: np.ndarray, spec: SoftSortSpec, defaults=soft_sort.__kwdefaults__, **solve_opts) -> tuple:
+    """``(m P^T x, n P (0..n-1) if m == n else None, converged)`` of the
+    sort plan P, from one pass over its row blocks. Omitted ``solve_opts``
+    take ``defaults``, :func:`soft_sort`'s, bound when this is defined."""
+    x, prob = _sort_problem(x, spec)
+    out = solve_sinkhorn(prob, spec.eps, **{**defaults, **solve_opts})
+    n, m = prob.geom.shape
+    values, ranks = np.zeros(m), np.empty(n)
+    for start, stop, _, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
+        values += x[start:stop] @ plan
+        ranks[start:stop] = plan @ np.arange(m, dtype=float)
+    return m * values, n * ranks if m == n else None, out.converged
 
 
 # ---- Gaussians and mixtures ----

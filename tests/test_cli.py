@@ -21,6 +21,8 @@ from otkit import (
     grad_points,
     lr_coupling,
     reg_ot_cost,
+    soft_rank,
+    soft_sort,
     solve_barycenter,
     solve_gw,
     solve_lr_sinkhorn,
@@ -650,16 +652,21 @@ def test_softsort_flags_match_the_library_bitwise(capsys, flags, spec, kwargs):
     }
 
 
-def test_softsort_refuses_plans_above_the_cap_before_solving(tmp_path, capsys, monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("solved a plan that cannot be materialized")
-
+def test_softsort_streams_plans_above_the_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 20)  # below 5 x 5
-    monkeypatch.setattr("otkit.sinkhorn._sinkhorn_iterations", no_solve)
     path = write_csv(tmp_path / "v.csv", [[1.0], [5.0], [4.0], [8.0], [12.0]])
     code, payload, err = run(capsys, ["softsort", "--input", path])
-    assert code == 1 and payload is None
-    assert err.startswith("error: cost matrix with 5x5 = 25 entries exceeds the materialization cap 20")
+    x = np.array([1.0, 5.0, 4.0, 8.0, 12.0])
+    assert code == 0 and err == ""
+    assert payload["sorted_values"] == soft_sort(x).tolist()
+    assert payload["ranks"] == soft_rank(x).tolist()
+
+
+def test_softsort_squashes_the_widest_finite_inputs(capsys):
+    # "=" keeps argparse from reading the leading "-" as a flag.
+    code, payload, _ = run(capsys, ["softsort", "--values=-1e308,1e308"])
+    assert code == 0
+    assert payload["sorted_values"] == soft_sort(np.array([-1e308, 1e308])).tolist()
 
 
 @pytest.mark.parametrize(

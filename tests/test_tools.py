@@ -1,5 +1,7 @@
 """Soft sorting/ranking and Gaussian-mixture distances."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -118,10 +120,51 @@ def test_sort_transport_refuses_plans_above_the_cap_before_solving(monkeypatch):
         raise AssertionError("solved a plan that cannot be materialized")
 
     monkeypatch.setattr("otkit.sinkhorn._sinkhorn_iterations", no_solve)
-    for call in (sort_transport, soft_sort, soft_rank):
-        with pytest.raises(ValueError, match="5x5 = 25 entries exceeds the materialization cap 20"):
-            call(FIGURE_ARRAY)
+    with pytest.raises(ValueError, match="5x5 = 25 entries exceeds the materialization cap 20"):
+        sort_transport(FIGURE_ARRAY)
     assert solves == []
+
+
+def test_soft_sort_and_rank_stream_plans_above_the_cap(monkeypatch):
+    plan, _ = sort_transport(FIGURE_ARRAY)
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 20)  # below 5 x 5
+    values = soft_sort(FIGURE_ARRAY)
+    ranks = soft_rank(FIGURE_ARRAY)
+    npt.assert_allclose(values, 5 * (plan.T @ FIGURE_ARRAY), rtol=1e-12, atol=0)
+    npt.assert_allclose(ranks, 5 * (plan @ np.arange(5.0)), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, num_targets", [(5, None), (5, 3), (300, None), (300, 40)])
+def test_soft_sort_and_rank_reduce_the_sort_transport_plan(n, num_targets):
+    # 300 rows span two blocks of DEFAULT_BLOCK_SIZE: values may round
+    # differently there, ranks (one row each) may not.
+    x = np.random.default_rng(n).normal(size=n)
+    spec = SoftSortSpec(num_targets=num_targets)
+    plan, _ = sort_transport(x, spec)
+    npt.assert_allclose(soft_sort(x, spec), plan.shape[1] * (plan.T @ x), rtol=1e-12, atol=0)
+    if num_targets is None:
+        assert np.array_equal(soft_rank(x, spec), n * (plan @ np.arange(n, dtype=float)))
+
+
+@pytest.mark.parametrize("call", [soft_sort, soft_rank])
+def test_soft_sort_and_rank_never_hold_a_plan_above_the_cap(call):
+    n = 2001  # n * n is above DEFAULT_DENSE_CAP
+    x = np.random.default_rng(7).normal(size=n)
+    tracemalloc.start()
+    try:
+        out = call(x, SoftSortSpec(eps=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,) and np.all(np.isfinite(out))
+    assert peak < n * n * 8 / 2
+
+
+def test_soft_sort_squashes_the_widest_finite_inputs():
+    x = np.array([-1e308, 1e308])
+    out = soft_sort(x)
+    assert np.all(np.isfinite(out)) and np.all(out[1:] >= out[:-1])
+    assert out.min() >= x.min() and out.max() <= x.max()
 
 
 def test_unsquashed_mode_uses_raw_values():
