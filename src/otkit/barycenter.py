@@ -7,10 +7,10 @@ histogram scalings (u_k, v_k) are updated against the shared barycenter
 p, which is the weighted geometric mean of the back-projected scalings.
 Each pair of half-steps is a Sinkhorn sweep through the geometry's
 kernel step, so it runs on Sinkhorn's kernel (per-axis kernels on grids,
-streamed from cost blocks on point clouds above ``DEFAULT_DENSE_CAP``)
-and in the log domain where that kernel is declined, zero histogram entries are
-fine, and an eps too small for the costs raises ``DivergedError``
-instead of returning NaN.
+streamed from cost blocks on dense costs and point clouds above
+``DEFAULT_DENSE_CAP``) and in the log domain where that kernel is
+declined, zero histogram entries are fine, and an eps too small for the
+costs raises ``DivergedError`` instead of returning NaN.
 """
 
 from __future__ import annotations

@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     softsort = commands.add_parser("softsort", help="entropic sorting and ranking of a value list")
     source = softsort.add_mutually_exclusive_group(required=True)
-    source.add_argument("--values", help="comma-separated input values")
+    source.add_argument("--values", help="comma-separated input values; a leading minus needs '=': --values=-1,2")
     source.add_argument("--input", help="input values CSV (alternative to --values)")
     softsort.add_argument("--num-targets", type=int, help="number of sort targets (default: input length)")
     softsort.add_argument("--eps", type=float, help=f"regularization in squashed units (default {SoftSortSpec.eps:g})")

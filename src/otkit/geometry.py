@@ -20,16 +20,21 @@ refuse above ``DEFAULT_DENSE_CAP`` entries.
 Backends:
 
 * :class:`DenseGeometry` wraps an explicit cost matrix.
-* :class:`PointCloudGeometry` derives costs from two point sets and
-  streams kernel applications over row blocks, so the matrix never has
-  to exist in memory. A solve's kernel is one n x m matrix up to
-  ``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
-  kernel from the cost blocks, and a sweep's two products share one
-  pass over them.
+* :class:`PointCloudGeometry` derives costs from two point sets in row
+  blocks, so the matrix never has to exist in memory.
 * :class:`GridGeometry` handles costs that separate over the axes of a
   Cartesian grid; kernel applications, the solvers' included, factor
   into one small contraction per axis at any grid size, and nothing
   N x N is allocated.
+
+Dense costs and point clouds share one kernel path in :class:`Geometry`,
+on the cost rows each yields. A solve's kernel is one n x m matrix up to
+``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
+kernel from the cost blocks (a dense matrix is copied into their
+buffers, never written), and a sweep's two products share one pass over
+them. ``block_size`` is a performance knob only, except in that pass's
+second product, which sums over row blocks and so depends on them up to
+rounding.
 """
 
 from __future__ import annotations
@@ -175,7 +180,11 @@ class Geometry:
           eps: positive regularization; ``None`` uses ``epsilon_default``.
           axis: which side of the kernel to contract.
         """
-        raise NotImplementedError
+        _check_axis(axis)
+        eps = self._resolve_eps(eps)
+        v = _check_vector(v, self.shape[1 if axis == "rows" else 0], "v")
+        # The streamed kernel at shift 0: 0 - C is exactly -C.
+        return self._contract((0.0, eps), v, axis)
 
     def apply_lse_kernel(
         self, f: np.ndarray, g: np.ndarray, eps: float | None = None, axis: str = "rows"
@@ -220,20 +229,26 @@ class Geometry:
         midrange of C, or None when half the cost range over eps exceeds
         ``_KERNEL_EXPONENT_LIMIT``. ``floor`` is tiny times the largest entry:
         an underflowed or subnormal scaling then moves no product at least
-        ``floor`` by more than rounding. Here one n x m matrix, refused above
-        ``DEFAULT_DENSE_CAP`` entries and refilled in place from ``old``.
+        ``floor`` by more than rounding. Up to ``DEFAULT_DENSE_CAP`` entries
+        the factors are one n x m matrix, refilled in place from ``old``;
+        above it they are ``(c, eps)``, and every product recomputes the
+        kernel from the cost blocks (``_kernel_blocks``). Either way a
+        build is one pass over the cost blocks.
         """
         n, m = self.shape
-        if n * m > DEFAULT_DENSE_CAP:
-            return None
-        kernel = old[0][0] if old else np.empty((n, m))
+        kernel = None
+        if n * m <= DEFAULT_DENSE_CAP:
+            kernel = old[0][0] if old else np.empty((n, m))
         span = self._midrange(eps, kernel)
         if span is None:
             return None
         shift, half_range = span
+        floor = _TINY * np.exp(half_range / eps)
+        if kernel is None:
+            return (shift, eps), shift, floor
         np.subtract(shift, kernel, out=kernel)
         kernel /= eps
-        return (np.exp(kernel, out=kernel),), shift, _TINY * np.exp(half_range / eps)
+        return (np.exp(kernel, out=kernel),), shift, floor
 
     def _midrange(self, eps: float, copy: np.ndarray | None = None) -> tuple | None:
         """``(c, half_range)`` of C from one pass over its blocks, copied
@@ -249,16 +264,40 @@ class Geometry:
         half_range = 0.5 * (hi - lo)
         return lo + half_range, half_range
 
+    def _kernel_blocks(self, factors, transpose: bool = False):
+        """``(start, stop, kernel_rows)`` over the row blocks of the kernel
+        from ``_gibbs``, or of its transpose: the n x m kernel as one
+        block, or the streamed one's blocks."""
+        if len(factors) == 1:  # the n x m kernel
+            kernel = factors[0].T if transpose else factors[0]
+            return ((0, kernel.shape[0], kernel),)
+        return self._streamed_blocks(*factors, transpose)
+
+    def _streamed_blocks(self, shift: float, eps: float, transpose: bool):
+        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over
+        ``_cost_blocks``, each computed in its cost block's buffer."""
+        for start, stop, cost in self._cost_blocks(transpose):
+            np.subtract(shift, cost, out=cost)
+            cost /= eps
+            yield start, stop, np.exp(cost, out=cost)
+
     def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
         """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
-        (kernel,) = factors
-        return kernel @ v if axis == "rows" else v @ kernel
+        out = np.empty(self.shape[0 if axis == "rows" else 1])
+        for start, stop, kernel in self._kernel_blocks(factors, axis == "cols"):
+            np.matmul(kernel, v, out=out[start:stop])
+        return out
 
     def _sweep(self, factors, v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(K v, K^T (a / K v))``, K from ``_gibbs``: the two products of
-        one Sinkhorn sweep in scaling form."""
-        kv = self._contract(factors, v, "rows")
-        return kv, self._contract(factors, a / kv, "cols")
+        one Sinkhorn sweep in scaling form, from one pass over the kernel's
+        row blocks."""
+        kv = np.empty(self.shape[0])
+        ktu = np.zeros(self.shape[1])
+        for start, stop, kernel in self._kernel_blocks(factors):
+            kv_rows = np.matmul(kernel, v, out=kv[start:stop])
+            ktu += (a[start:stop] / kv_rows) @ kernel
+        return kv, ktu
 
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
@@ -347,13 +386,14 @@ class DenseGeometry(Geometry):
         return float(self._cost.mean())
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
-        return (self._cost.T if transpose else self._cost)[start:stop]
-
-    def apply_kernel(self, v, eps=None, axis="rows"):
-        _check_axis(axis)
-        eps = self._resolve_eps(eps)
-        v = _check_vector(v, self.shape[0 if axis == "cols" else 1], "v")
-        return self._contract((np.exp(-self._cost / eps),), v, axis)
+        """Cost rows [start, stop) of C, or of C^T when ``transpose``: a
+        view of the matrix, or a copy in ``out[0]`` if a buffer pair
+        ``out`` is given, which callers may then overwrite."""
+        rows = (self._cost.T if transpose else self._cost)[start:stop]
+        if out is None:
+            return rows
+        out[0][...] = rows
+        return out[0]
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -372,11 +412,7 @@ class PointCloudGeometry(Geometry):
     Euclidean (``"eucl"``) and cosine (``"cosine"``, one minus the
     cosine similarity; zero vectors are rejected). Kernel applications
     materialize at most ``block_size`` cost rows at a time, so memory
-    stays O(block_size * max(n, m)). The block size is a performance
-    knob only; every output entry is reduced over its full axis in one
-    call, so results do not depend on it. The one exception is the
-    second product of a streamed sweep above ``DEFAULT_DENSE_CAP``,
-    which sums over row blocks and so depends on them up to rounding.
+    stays O(block_size * max(n, m)).
     """
 
     def __init__(
@@ -466,54 +502,6 @@ class PointCloudGeometry(Geometry):
         if self._same_points:
             vals = np.where(i == j, 0.0, vals)
         return float(vals.mean())
-
-    def _gibbs(self, eps, old):
-        # Under the cap, the n x m kernel. Above it, the kernel is streamed
-        # from the cost blocks at every product, so a build is one pass
-        # that finds the midrange and the floor.
-        n, m = self.shape
-        if n * m <= DEFAULT_DENSE_CAP:
-            return super()._gibbs(eps, old)
-        span = self._midrange(eps)
-        if span is None:
-            return None
-        shift, half_range = span
-        return (shift, eps), shift, _TINY * np.exp(half_range / eps)
-
-    def _kernel_blocks(self, shift: float, eps: float, transpose: bool = False):
-        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over
-        ``_cost_blocks``, each computed in its cost block's buffer."""
-        for start, stop, cost in self._cost_blocks(transpose):
-            np.subtract(shift, cost, out=cost)
-            cost /= eps
-            yield start, stop, np.exp(cost, out=cost)
-
-    def _contract(self, factors, v, axis):
-        if len(factors) == 1:  # the n x m kernel
-            return super()._contract(factors, v, axis)
-        # The streamed kernel; its "cols" contraction is the "rows" one over (y, x).
-        out = np.empty(self.shape[0 if axis == "rows" else 1])
-        for start, stop, kernel in self._kernel_blocks(*factors, axis == "cols"):
-            out[start:stop] = kernel @ v
-        return out
-
-    def _sweep(self, factors, v, a):
-        if len(factors) == 1:
-            return super()._sweep(factors, v, a)
-        # Both products of the streamed kernel from one pass over its blocks.
-        kv = np.empty(self.shape[0])
-        ktu = np.zeros(self.shape[1])
-        for start, stop, kernel in self._kernel_blocks(*factors):
-            kv[start:stop] = kernel @ v
-            ktu += (a[start:stop] / kv[start:stop]) @ kernel
-        return kv, ktu
-
-    def apply_kernel(self, v, eps=None, axis="rows"):
-        _check_axis(axis)
-        eps = self._resolve_eps(eps)
-        v = _check_vector(v, self.shape[1 if axis == "rows" else 0], "v")
-        # The streamed kernel at shift 0: 0 - C is exactly -C.
-        return self._contract((0.0, eps), v, axis)
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -605,6 +593,10 @@ class GridGeometry(Geometry):
         for k, kernel in enumerate(factors):
             t = np.moveaxis(np.tensordot(kernel if axis == "rows" else kernel.T, t, axes=(1, k)), 0, k)
         return t.reshape(-1)
+
+    def _sweep(self, factors, v, a):
+        kv = self._contract(factors, v, "rows")
+        return kv, self._contract(factors, a / kv, "cols")
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)

@@ -4,11 +4,11 @@ Solves ``min_{P in U(a,b)} <C, P> + eps <P, log P - 1>`` by alternating
 exact maximization of the dual over the potentials (f, g):
 f = eps log a - eps log(K e^{g/eps}), then g likewise against b. Each
 such sweep goes through the geometry's kernel step: a kernel built once
-per eps (per-axis on grids, recomputed from cost blocks on point clouds
-above ``DEFAULT_DENSE_CAP``, one pass per sweep), else the log domain,
-which keeps very small eps usable. The coupling is only materialized on demand
-(``transport_matrix``), while the cost and gradient reductions stream it
-in row blocks.
+per eps (per-axis on grids, recomputed from cost blocks on dense costs
+and point clouds above ``DEFAULT_DENSE_CAP``, one pass per sweep), else
+the log domain, which keeps very small eps usable. The coupling is only
+materialized on demand (``transport_matrix``), while the cost and
+gradient reductions stream it in row blocks.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ def solve_sinkhorn(
     the sweeps multiply by the kernel exp((c - C)/eps), c the midrange of
     C, rebuilt when the schedule changes eps: one n x m matrix under
     ``DEFAULT_DENSE_CAP`` entries, one kernel per axis on grids of any
-    size, and on point clouds above the cap a kernel recomputed from the
-    cost blocks, in one pass per sweep, so no n x m array is held.
+    size, and on dense costs and point clouds above the cap a kernel
+    recomputed from the cost blocks, in one pass per sweep, so no n x m
+    array is held beyond a dense cost itself, which is never written.
     Otherwise, and from the first product outside the normal range (the
     whole sweep is then redone from the same g), they run in the log
     domain.

@@ -90,6 +90,10 @@ def soft_sort(
     of the original values: entry j is ``m * (P^T x)_j``. Small eps
     approaches the hard sort; large eps flattens toward the mean. The
     plan is reduced in row blocks, so any n * m works.
+
+    The result does not say whether the solve converged: a sort that
+    ran out of ``max_iters`` is returned like any other. ``otkit
+    softsort`` reports it, in its ``converged`` field and exit code 2.
     """
     return _soft_sort_rank(x, spec, threshold=threshold, max_iters=max_iters)[0]
 
@@ -104,7 +108,8 @@ def soft_rank(
     """Entropic ranks of x: entry i is the expected target index of x_i.
 
     Requires as many targets as inputs; ranks are ``n * (P @ (0..n-1))``
-    and approach the integer ranks as eps shrinks.
+    and approach the integer ranks as eps shrinks. Like :func:`soft_sort`,
+    it does not report convergence; ``otkit softsort`` does.
     """
     if spec.num_targets is not None and spec.num_targets != np.size(x):
         raise ValueError("soft_rank requires num_targets == len(x)")

@@ -124,8 +124,9 @@ def test_every_entry_underflowing_still_returns_a_probability_vector():
 
 def kernel_path_problems():
     """name -> problem: a cloud support with zero entries, the same on a
-    streamed kernel, a 9x8 grid, a dense cost, a grid above the dense cap, a
-    grid with asymmetric per-axis costs and a 3-axis grid."""
+    streamed kernel, a 9x8 grid, a dense cost, the same on a streamed
+    kernel, a grid above the dense cap, a grid with asymmetric per-axis
+    costs and a 3-axis grid."""
     rng = np.random.default_rng(6)
     pts = rng.random((60, 2))
     hists = rng.random((3, 60))
@@ -137,7 +138,15 @@ def kernel_path_problems():
     grid_problem = BarycenterProblem(grid, hists / hists.sum(axis=1, keepdims=True), np.array([0.3, 0.7]))
     hists = rng.random((2, 40))
     dense = BarycenterProblem(DenseGeometry(3.0 * rng.random((40, 40))), hists / hists.sum(axis=1, keepdims=True))
-    problems = {"support": support, "support-streamed": streamed, "grid": grid_problem, "dense": dense}
+    dense_streamed = DenseGeometry(dense.geom.cost_matrix())
+    dense_streamed.block_size = 32
+    problems = {
+        "support": support,
+        "support-streamed": streamed,
+        "grid": grid_problem,
+        "dense": dense,
+        "dense-streamed": BarycenterProblem(dense_streamed, dense.histograms),
+    }
     for name, geom in [
         ("grid-above-cap", GridGeometry([np.linspace(0.0, 1.0, 48), np.linspace(0.0, 1.0, 45)])),
         ("grid-asymmetric", GridGeometry([np.arange(6.0), np.arange(5.0)], [rng.random((6, 6)), rng.random((5, 5))])),
@@ -151,12 +160,22 @@ def kernel_path_problems():
 
 @pytest.mark.parametrize("scale", [1e-2, 5e-2])
 @pytest.mark.parametrize(
-    "name", ["support", "support-streamed", "grid", "dense", "grid-above-cap", "grid-asymmetric", "grid-3-axes"]
+    "name",
+    [
+        "support",
+        "support-streamed",
+        "grid",
+        "dense",
+        "dense-streamed",
+        "grid-above-cap",
+        "grid-asymmetric",
+        "grid-3-axes",
+    ],
 )
 def test_kernel_path_matches_the_log_domain(name, scale, monkeypatch, lse_calls, log_domain):
     bp = kernel_path_problems()[name]
-    if name == "support-streamed":
-        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 1000)  # below 60 x 60
+    if name.endswith("-streamed"):
+        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 1000)  # below 60 x 60 and 40 x 40
     eps = scale * bp.geom.mean_cost()
     fast = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
     assert lse_calls == []

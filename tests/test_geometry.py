@@ -62,7 +62,7 @@ def test_grid_cost_rows_follow_the_row_major_index_order():
     ).reshape(288, 288)
     npt.assert_array_equal(grid.cost_matrix(), expected)
     for geom in (grid, DenseGeometry(expected)):
-        npt.assert_array_equal(np.vstack([rows for _, _, rows in geom._cost_blocks(transpose=True)]), expected.T)
+        npt.assert_array_equal(np.vstack([rows.copy() for _, _, rows in geom._cost_blocks(transpose=True)]), expected.T)
     dense_prob = LinearProblem(DenseGeometry(expected))
     out = solve_sinkhorn(dense_prob, 0.5, max_iters=3)
     npt.assert_array_equal(

@@ -396,6 +396,10 @@ def fast_path_cases():
     geom = PointCloudGeometry(x, y, "eucl", block_size=16)
     schedule = EpsilonSchedule(0.1 * geom.mean_cost(), init_scale=50.0, decay=0.6)
     cases["streamed-schedule"] = (LinearProblem(geom), schedule)
+    # A dense cost above the cap streams its kernel from copied cost blocks.
+    geom = DenseGeometry(rng.normal(size=(25, 35)))
+    geom.block_size = 16
+    cases["streamed-dense-negative"] = (LinearProblem(geom), 0.2)
     return cases
 
 
@@ -492,7 +496,7 @@ def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypat
     prob = LinearProblem(geom)
     target = 0.1 * geom.mean_cost()
     eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
-    original = PointCloudGeometry._kernel_blocks
+    original = otkit.geometry.Geometry._streamed_blocks
     streamed = []
 
     def underflowing(self, shift, e, transpose=False):
@@ -502,7 +506,7 @@ def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypat
                 kernel[0] = 0.0  # row 0 underflows once eps reaches its target
             yield start, stop, kernel
 
-    monkeypatch.setattr(PointCloudGeometry, "_kernel_blocks", underflowing)
+    monkeypatch.setattr(otkit.geometry.Geometry, "_streamed_blocks", underflowing)
     calls = lse_calls
     out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert streamed == [4 * target, 2 * target, target]
@@ -536,7 +540,8 @@ def counted_sweeps(monkeypatch) -> list:
 def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(monkeypatch, lse_calls, log_domain):
     # A check reads the next sweep's first product, so a solve returned
     # after T sweeps makes T + 1 and no other product: on the kernel, one
-    # _sweep of two contractions each; in the log domain, two log-sum-exps.
+    # _sweep each, which makes both products itself; in the log domain,
+    # two log-sum-exps.
     calls = counted_sweeps(monkeypatch)
     products = []
     for name in ("_sweep", "_contract"):
@@ -558,7 +563,7 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
         assert out.converged and out.iterations >= 30 and out.iterations % 10 == 0
         sweeps = out.iterations + 1
         assert calls == ["sweep"] * sweeps
-        assert products == ([] if logged else ["_sweep", "_contract", "_contract"] * sweeps)
+        assert products == ([] if logged else ["_sweep"] * sweeps)
         assert lse_calls == (["PointCloudGeometry"] * 2 * sweeps if logged else [])
 
 
@@ -581,11 +586,19 @@ def test_stops_at_max_iters_check_the_returned_pair_unless_warming_up(monkeypatc
     assert len(calls) == 20
 
 
-def test_streamed_solve_and_cost_never_hold_a_cost_matrix(monkeypatch, lse_calls):
+@pytest.mark.parametrize("kind", ["cloud", "dense"])
+def test_streamed_solve_and_cost_never_hold_a_cost_matrix(kind, monkeypatch, lse_calls):
     monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10_000)
     rng = np.random.default_rng(26)
     n, m = 600, 600
     geom = PointCloudGeometry(rng.random((n, 2)), rng.random((m, 2)), block_size=32)
+    if kind == "dense":
+        # The user's matrix exists before tracing; the solve must neither
+        # hold another one nor write to it.
+        matrix = geom.cost_matrix(n * m)
+        geom = DenseGeometry(matrix)
+        geom.block_size = 32
+        original = matrix.copy()
     prob = LinearProblem(geom)
     eps = 0.1 * geom.mean_cost()
     tracemalloc.start()
@@ -597,6 +610,11 @@ def test_streamed_solve_and_cost_never_hold_a_cost_matrix(monkeypatch, lse_calls
         tracemalloc.stop()
     assert out.converged and np.isfinite(cost.transport_cost) and lse_calls == []
     assert peak < n * m * 8 / 4
+    if kind == "dense":
+        npt.assert_array_equal(matrix, original)
+        for axis in ("rows", "cols"):
+            geom.apply_kernel(np.ones(n), eps, axis)
+        npt.assert_array_equal(matrix, original)
 
 
 @settings(max_examples=40, deadline=None)
