@@ -3,14 +3,29 @@
 CSV conventions: comma-separated, no header, '#' starts a comment.
 Writes go through a temp file in the destination directory followed by
 an atomic rename, so readers never observe partial files.
+
+Large CSV matrices are read and written on every usable core: the file
+is split into row ranges, this process handles the first and forked
+children the rest, with the same parser and row formatter as a small
+file, so the arrays read and the bytes written do not change. A read
+whose part does not parse cleanly is parsed again whole in one process,
+which gives the one-process result or error. Every child is reaped, on
+every path, and leaves no file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
+import itertools
 import json
 import os
+import signal
 import tempfile
-from collections.abc import Iterable
+import warnings
+from collections.abc import Callable, Iterable, Iterator
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,11 +40,160 @@ __all__ = [
     "write_matrix_atomic",
 ]
 
+_CSV = {"delimiter": ",", "comments": "#", "ndmin": 2}
+# A CSV is split into one part per usable core, each at least this many bytes.
+_MIN_SPLIT_BYTES = 1 << 20
+# Longest "%.17g," entry ("-1.7976931348623157e+308,"): sizes a matrix's text.
+_ENTRY_BYTES = 25
+# Bytes per read when counting lines, or copying a part's file to the output.
+_CHUNK_BYTES = 1 << 20
+
+
+def _parts(size: int) -> int:
+    """Parts for ``size`` bytes: one per usable core, each at least
+    ``_MIN_SPLIT_BYTES``; one where ``fork`` or core affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // _MIN_SPLIT_BYTES))
+
+
+def _run_child(mask, work: Callable, k: int, file) -> NoReturn:
+    """A forked child's whole run: ``work(k, file)`` with the signal mask
+    restored, then ``os._exit``, 0 when it returned and 1 when it raised."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        work(k, file)
+        file.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(parts: int, work: Callable, **spool) -> Iterator[Callable]:
+    """Runs ``work(k, file)`` for k = 1 .. parts - 1, each in a forked child
+    writing to its own unnamed temp file, ``tempfile.TemporaryFile(**spool)``;
+    the caller handles part 0. A child exits 0 when ``work`` returns and 1
+    when it raises, and never returns into the caller. Yields ``collect(k)``:
+    child k's file, rewound, once the child has exited 0, else
+    ``ChildProcessError``. On leaving, whatever raised, children not yet
+    collected are killed, and every child is reaped.
+    """
+    with contextlib.ExitStack() as files_stack:
+        files = [None] + [files_stack.enter_context(tempfile.TemporaryFile(**spool)) for _ in range(1, parts)]
+        pids = {}
+
+        def collect(k: int):
+            _, status = os.waitpid(pids[k], 0)
+            del pids[k]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"CSV worker {k} of {parts} exited with status {code}")
+            files[k].seek(0)
+            return files[k]
+
+        try:
+            if parts > 1:
+                # SIGINT waits until every pid is recorded, and in a child
+                # until it is inside _run_child's try.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    for k in range(1, parts):
+                        with warnings.catch_warnings():
+                            # Python 3.12+ warns on fork with other threads
+                            # (OpenBLAS keeps some). A child runs only the row
+                            # formatter or the parser: no BLAS, logging or
+                            # stdio, so it needs no lock another thread holds.
+                            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                            pid = os.fork()
+                        if pid == 0:
+                            _run_child(mask, work, k, files[k])
+                        pids[k] = pid
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield collect
+        finally:
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids.values():
+                os.waitpid(pid, 0)
+
+
+def _cuts(path: str) -> list[int]:
+    """Byte offsets splitting ``path`` into parts of whole lines, 0 and the
+    size included: each cut is the first line break after an equal share."""
+    size = os.path.getsize(path)
+    parts = _parts(size)
+    cuts = [0]
+    with open(path, "rb") as raw:
+        for k in range(1, parts):
+            raw.seek(k * size // parts)
+            while (line := raw.readline(_CHUNK_BYTES)) and not line.endswith(b"\n"):
+                pass
+            cuts.append(raw.tell())
+    return sorted(set(cuts + [size]))
+
+
+def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
+    """The rows in bytes [start, stop) of ``path``, a run of whole lines.
+    Lines split at "\\n" only; np.loadtxt refuses the "\\r" of any other
+    line break, so such a part fails rather than moving a row."""
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        lines, last = 0, b"\n"
+        for offset in range(start, stop, _CHUNK_BYTES):
+            chunk = raw.read(min(_CHUNK_BYTES, stop - offset))
+            lines += chunk.count(b"\n")
+            last = chunk[-1:] or last
+        raw.seek(start)
+        with io.TextIOWrapper(raw, newline="\n") as text, warnings.catch_warnings():
+            # A part without data rows is the caller's to handle, unwarned.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(itertools.islice(text, lines + (last != b"\n")), **_CSV)
+
+
+def _read_parts(path: str) -> np.ndarray | None:
+    """The matrix in ``path`` parsed in parts (``_cuts``) on forked children,
+    or None for a file of one part, or when a part fails to parse, has no
+    data rows or another column count, or its child fails."""
+
+    def parse(k, file):
+        rows = _parse_range(path, cuts[k], cuts[k + 1])
+        file.write(np.array(rows.shape, dtype=np.int64).tobytes())
+        file.write(rows)
+
+    try:
+        cuts = _cuts(path)
+        if len(cuts) < 3:
+            return None
+        with _forked(len(cuts) - 1, parse) as collect:
+            first = _parse_range(path, cuts[0], cuts[1])
+            if not first.size:
+                return None
+            files = [collect(k) for k in range(1, len(cuts) - 1)]
+            shapes = [tuple(np.frombuffer(file.read(16), dtype=np.int64)) for file in files]
+            if any(rows < 1 or cols != first.shape[1] for rows, cols in shapes):
+                return None
+            data = np.empty((len(first) + sum(rows for rows, _ in shapes), first.shape[1]))
+            data[: len(first)] = first
+            stop = len(first)
+            for file, (rows, _) in zip(files, shapes):
+                block = data[stop : stop + rows]
+                if file.readinto(block) != block.nbytes:
+                    return None
+                stop += rows
+            return data
+    except (OSError, ValueError):
+        return None
+
 
 def read_matrix(path: str) -> np.ndarray:
     """Reads a 2-D array; single-column files come back as (n, 1)."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        data = _read_parts(path)
+        if data is None:
+            data = np.loadtxt(path, **_CSV)
     except Exception as exc:
         raise ValueError(f"could not parse {path} as CSV: {exc}") from exc
     if data.size == 0:
@@ -84,9 +248,28 @@ def write_json_atomic(path: str, payload: dict) -> None:
     _write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
+def _format_rows(rows: np.ndarray) -> Iterator[str]:
+    """The CSV lines of ``rows``, formatted and yielded one at a time: 17
+    significant digits read back bitwise for every float64."""
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (row_format % tuple(row.tolist()) for row in rows)
+
+
 def write_matrix_atomic(path: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    # 17 significant digits read back bitwise for every float64. Rows are
-    # formatted and written one at a time, so the text never exists whole.
-    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    _write_atomic(path, (row_format % tuple(row.tolist()) for row in matrix))
+    bounds = np.linspace(0, len(matrix), _parts(matrix.size * _ENTRY_BYTES) + 1).astype(int)
+    ranges = [matrix[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+    def format_range(k, file):
+        file.writelines(_format_rows(ranges[k]))
+
+    # Each part's text goes to its own file, then into the temp file in row
+    # order, a chunk at a time: the text never exists whole.
+    with _forked(len(ranges), format_range, mode="w+", dir=os.path.dirname(os.path.abspath(path))) as collect:
+
+        def chunks():
+            yield from _format_rows(ranges[0])
+            for k in range(1, len(ranges)):
+                yield from iter(functools.partial(collect(k).read, _CHUNK_BYTES), "")
+
+        _write_atomic(path, chunks())

@@ -30,11 +30,11 @@ Backends:
 Dense costs and point clouds share one kernel path in :class:`Geometry`,
 on the cost rows each yields. A solve's kernel is one n x m matrix up to
 ``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
-kernel from the cost blocks (a dense matrix is copied into their
-buffers, never written), and a sweep's two products share one pass over
-them. ``block_size`` is a performance knob only, except in that pass's
-second product, which sums over row blocks and so depends on them up to
-rounding.
+kernel from the cost blocks (a dense matrix is read in place, and copied
+into their buffers where the kernel is computed, never written), and a
+sweep's two products share one pass over them. ``block_size`` is a
+performance knob only, except in that pass's second product, which sums
+over row blocks and so depends on them up to rounding.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ class Geometry:
     _shape: tuple[int, int]
     _epsilon_default: float | None
     block_size: int = DEFAULT_BLOCK_SIZE
+    # Whether ``_cost_rows`` without buffers returns views of a stored C.
+    _stores_cost: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -199,16 +201,18 @@ class Geometry:
         """
         raise NotImplementedError
 
-    def _cost_blocks(self, transpose: bool = False):
+    def _cost_blocks(self, transpose: bool = False, writable: bool = True):
         """Yields ``(start, stop, cost_rows)`` over blocks of ``block_size``
         rows of C, or of C^T when ``transpose``, from ``_cost_rows``. One
         pair of block buffers serves the whole pass, so a block may be
-        overwritten by the next one."""
+        overwritten by the next one. Unless ``writable``, the caller only
+        reads the blocks, and a stored C yields views of its rows."""
         n, m = self.shape[::-1] if transpose else self.shape
         buffers = np.empty((2, min(self.block_size, n), m))
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            yield start, stop, self._cost_rows(start, stop, transpose, out=buffers[:, : stop - start])
+            out = buffers[:, : stop - start] if writable or not self._stores_cost else None
+            yield start, stop, self._cost_rows(start, stop, transpose, out=out)
 
     def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
         """Yields ``(start, stop, cost_rows, plan_rows)`` of the coupling
@@ -218,7 +222,7 @@ class Geometry:
         f = _check_potential(f, n, "f")
         g = _check_potential(g, m, "g")
         buffer = np.empty((min(self.block_size, n), m))
-        for start, stop, cost in self._cost_blocks():
+        for start, stop, cost in self._cost_blocks(writable=False):
             plan = np.add(f[start:stop, None], g[None, :], out=buffer[: stop - start])
             plan -= cost
             plan /= eps
@@ -255,7 +259,7 @@ class Geometry:
         into ``copy`` if given, or None as soon as half the range over eps
         exceeds ``_KERNEL_EXPONENT_LIMIT``."""
         lo, hi = np.inf, -np.inf
-        for start, stop, cost in self._cost_blocks():
+        for start, stop, cost in self._cost_blocks(writable=False):
             lo, hi = min(lo, cost.min()), max(hi, cost.max())
             if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
                 return None
@@ -293,10 +297,15 @@ class Geometry:
         one Sinkhorn sweep in scaling form, from one pass over the kernel's
         row blocks."""
         kv = np.empty(self.shape[0])
-        ktu = np.zeros(self.shape[1])
         for start, stop, kernel in self._kernel_blocks(factors):
             kv_rows = np.matmul(kernel, v, out=kv[start:stop])
-            ktu += (a[start:stop] / kv_rows) @ kernel
+            term = (a[start:stop] / kv_rows) @ kernel
+            # The first block's term starts the sum, bitwise 0 + term: no
+            # term is -0.
+            if start:
+                ktu += term
+            else:
+                ktu = term
         return kv, ktu
 
     def _resolve_eps(self, eps: float | None) -> float:
@@ -371,6 +380,8 @@ class _KernelStep:
 
 class DenseGeometry(Geometry):
     """Geometry backed by an explicit cost matrix."""
+
+    _stores_cost = True
 
     def __init__(self, cost: np.ndarray, epsilon_default: float | None = None):
         cost = np.asarray(cost, dtype=float)

@@ -1,10 +1,12 @@
 """CLI contract: library round-trips, exit codes, file artifacts."""
 
+import gzip
 import json
 import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -775,7 +777,7 @@ def test_out_flag_writes_the_same_payload_to_a_file(tmp_path, capsys, two_point_
     assert json.loads(out_path.read_text()) == stdout_payload
 
 
-def test_no_temp_files_survive_atomic_writes(tmp_path, capsys, two_point_files):
+def test_no_temp_files_survive_atomic_writes(tmp_path, capsys, monkeypatch, two_point_files):
     x, y = two_point_files
     before = {p.name for p in tmp_path.iterdir()}
     main(
@@ -796,6 +798,212 @@ def test_no_temp_files_survive_atomic_writes(tmp_path, capsys, two_point_files):
     capsys.readouterr()
     after = {p.name for p in tmp_path.iterdir()}
     assert after - before == {"r.json", "p.csv"}
+    # The same with the coupling written and the inputs read in two parts.
+    split_csv(monkeypatch, 2)
+    code = main(["lin", "--x", x, "--y", y, "--eps-rel", "1e-3", "--coupling-out", str(tmp_path / "q.csv")])
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+    assert_nothing_left(tmp_path, after | {"q.csv"})
+
+
+# ---- CSV files split across cores ----
+
+
+def split_csv(monkeypatch, parts):
+    """Splits every CSV matrix read or written into ``parts`` row ranges,
+    whatever its size and the machine's core count."""
+    monkeypatch.setattr("otkit.fileio._MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+def one_process(monkeypatch, fn, *args):
+    """``fn(*args)`` with every CSV handled in one process."""
+    with monkeypatch.context() as patch:
+        patch.setattr("otkit.fileio._MIN_SPLIT_BYTES", 1 << 62)
+        return fn(*args)
+
+
+def assert_nothing_left(directory, names):
+    """No temp file is left in ``directory`` and no child process unreaped."""
+    assert {p.name for p in directory.iterdir()} == set(names)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Records every ``os.fork`` call."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.fixture
+def split_reads(monkeypatch) -> list:
+    """Records whether each ``read_matrix`` was served by its parts (True)
+    or parsed whole in one process (False)."""
+    from otkit import fileio
+
+    served, read_parts = [], fileio._read_parts
+
+    def spy(path):
+        data = read_parts(path)
+        served.append(data is not None)
+        return data
+
+    monkeypatch.setattr(fileio, "_read_parts", spy)
+    return served
+
+
+SPLIT_MATRICES = {
+    "edges": np.array([[-0.0, 5e-324, 1e-300], [0.1, 1.0 / 3.0, -1.7976931348623157e308],
+                       [1.7976931348623157e308, -5e-324, 2.5]]),
+    "odd-rows": np.random.default_rng(0).normal(size=(7, 4)) * 10.0 ** np.arange(-3, 4)[:, None],
+    "fewer-rows-than-parts": np.array([[1.0, -2.0]]),
+    "single-column": np.random.default_rng(1).random((9, 1)),
+}
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("name", list(SPLIT_MATRICES))
+def test_split_writes_the_one_process_bytes(tmp_path, monkeypatch, forks, parts, name):
+    matrix = SPLIT_MATRICES[name]
+    one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "one.csv"), matrix)
+    assert not forks
+    split_csv(monkeypatch, parts)
+    write_matrix_atomic(str(tmp_path / "split.csv"), matrix)
+    assert len(forks) == parts - 1
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    back = read_matrix(str(tmp_path / "split.csv"))
+    assert back.tobytes() == matrix.tobytes()
+    assert_nothing_left(tmp_path, {"one.csv", "split.csv"})
+
+
+def _lines(rows, newline="\n"):
+    return newline.join(",".join(repr(float(v)) for v in row) for row in rows) + newline
+
+
+SPLIT_TEXTS = {
+    # Comments and blank lines between all rows, so on both sides of any cut.
+    "comments-and-blanks": "# header\n" + "".join(
+        f"{i}.25,{-i}e-3 # row {i}\n\n# between\n\n" for i in range(24)
+    ),
+    "crlf": "# header\r\n" + _lines(np.random.default_rng(2).random((30, 3)), "\r\n"),
+    "single-column": _lines(np.random.default_rng(3).random((40, 1))),
+    "no-final-newline": _lines(np.random.default_rng(4).random((25, 2))).rstrip("\n"),
+    # The later parts hold only comments: they have no data rows, so the
+    # file is parsed whole, and no loadtxt warning escapes.
+    "a-part-of-comments": "1,2\n3,4\n" + "# a long comment line\n" * 40,
+}
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("name", list(SPLIT_TEXTS))
+def test_split_reads_the_one_process_array(tmp_path, monkeypatch, split_reads, parts, name):
+    path = tmp_path / "m.csv"
+    path.write_bytes(SPLIT_TEXTS[name].encode())
+    expected = one_process(monkeypatch, read_matrix, str(path))
+    split_csv(monkeypatch, parts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = read_matrix(str(path))
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
+    assert split_reads[-1] == (name != "a-part-of-comments")
+    assert_nothing_left(tmp_path, {"m.csv"})
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_split_reads_compressed_csvs_whole(tmp_path, monkeypatch, split_reads, parts):
+    # np.loadtxt decompresses by the file name; the first part's bytes are
+    # the compressed header, which never parses, so the file is read whole.
+    path = tmp_path / "m.csv.gz"
+    with gzip.open(path, "wt") as handle:
+        handle.write(SPLIT_TEXTS["single-column"])
+    expected = one_process(monkeypatch, read_matrix, str(path))
+    split_csv(monkeypatch, parts)
+    assert read_matrix(str(path)).tobytes() == expected.tobytes()
+    assert expected.shape == (40, 1)
+    assert split_reads[-1] is False
+    assert_nothing_left(tmp_path, {"m.csv.gz"})
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("bad", ["1,2,3", "1.5,x"])
+def test_split_read_errors_are_the_one_process_errors(tmp_path, monkeypatch, parts, bad):
+    rows = ["1.5,2"] * 60
+    size = 6 * len(rows)
+    # The row just after the last cut, in the last child's range; the bad
+    # row has the good rows' length, so the cuts stay where they are.
+    rows[(parts - 1) * size // parts // 6 + 1] = bad
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as whole:
+        one_process(monkeypatch, read_matrix, str(path))
+    split_csv(monkeypatch, parts)
+    with pytest.raises(ValueError) as split:
+        read_matrix(str(path))
+    assert str(split.value) == str(whole.value)
+    assert_nothing_left(tmp_path, {"m.csv"})
+
+
+def _fail_in_children(monkeypatch, name, error=RuntimeError):
+    """Makes ``otkit.fileio.<name>`` raise in forked children only."""
+    from otkit import fileio
+
+    parent, real = os.getpid(), getattr(fileio, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise error("a part failed")
+        return real(*args)
+
+    monkeypatch.setattr(fileio, name, failing)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_failed_child_fails_the_write_and_the_cli_exits_one(tmp_path, capsys, monkeypatch, parts,
+                                                              two_point_files):
+    split_csv(monkeypatch, parts)
+    _fail_in_children(monkeypatch, "_format_rows")
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_matrix_atomic(str(tmp_path / "m.csv"), np.arange(12.0).reshape(6, 2))
+    x, y = two_point_files
+    code, payload, err = run(capsys, ["lin", "--x", x, "--y", y, "--coupling-out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert payload is None
+    assert err.startswith("error:") and "exited with status 1" in err
+    assert_nothing_left(tmp_path, {"x.csv", "y.csv"})
+
+
+def test_an_interrupted_write_reaps_its_children(tmp_path, monkeypatch):
+    from otkit import fileio
+
+    split_csv(monkeypatch, 3)
+    parent, real = os.getpid(), fileio._format_rows
+
+    def interrupted(rows):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(rows)
+
+    monkeypatch.setattr(fileio, "_format_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_matrix_atomic(str(tmp_path / "m.csv"), np.arange(12.0).reshape(6, 2))
+    assert_nothing_left(tmp_path, set())
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_failed_child_read_falls_back_to_one_process(tmp_path, monkeypatch, split_reads, parts):
+    path = tmp_path / "m.csv"
+    path.write_text(SPLIT_TEXTS["crlf"])
+    expected = one_process(monkeypatch, read_matrix, str(path))
+    split_csv(monkeypatch, parts)
+    _fail_in_children(monkeypatch, "_parse_range")
+    assert read_matrix(str(path)).tobytes() == expected.tobytes()
+    assert split_reads[-1] is False
+    assert_nothing_left(tmp_path, {"m.csv"})
 
 
 def test_log_level_env_var_is_honored(tmp_path, capsys, monkeypatch, two_point_files):

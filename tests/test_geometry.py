@@ -138,6 +138,26 @@ def test_block_size_does_not_change_results():
         npt.assert_allclose(transport_matrix(out, prob).matrix, dense_plan, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cap", [None, 20])
+def test_dense_kernels_never_write_the_cost_matrix(monkeypatch, cap):
+    # Blocks that are only read are views of the matrix; a read-only matrix
+    # makes any write through them raise. A cap of 20 entries streams the
+    # 5 x 6 kernel, which is computed in copies of two-row blocks.
+    if cap is not None:
+        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", cap)
+    cost = np.random.default_rng(8).random((5, 6))
+    cost.flags.writeable = False
+    geom = DenseGeometry(cost)
+    geom.block_size = 2
+    prob = LinearProblem(geom)
+    out = solve_sinkhorn(prob, 0.1)
+    assert out.converged
+    geom.apply_kernel(np.ones(6), 0.1)
+    costs = reg_ot_cost(out, prob)
+    assert np.isfinite(costs.transport_cost)
+    npt.assert_array_equal(cost, np.random.default_rng(8).random((5, 6)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(1, 8),
