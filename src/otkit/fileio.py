@@ -1,6 +1,7 @@
 """CSV / JSON readers and atomic writers used by the CLI.
 
-CSV conventions: comma-separated, no header, '#' starts a comment.
+CSV conventions: comma-separated, no header, '#' starts a comment;
+lines that are empty or hold only whitespace are skipped.
 Writes go through a temp file in the destination directory followed by
 an atomic rename, so readers never observe partial files.
 
@@ -135,6 +136,12 @@ def _cuts(path: str) -> list[int]:
     return sorted(set(cuts + [size]))
 
 
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` without the whitespace-only ones, which np.loadtxt would
+    read as rows."""
+    return (line for line in lines if not line.isspace())
+
+
 def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
     """The rows in bytes [start, stop) of ``path``, a run of whole lines.
     Lines split at "\\n" only; np.loadtxt refuses the "\\r" of any other
@@ -150,7 +157,7 @@ def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
         with io.TextIOWrapper(raw, newline="\n") as text, warnings.catch_warnings():
             # A part without data rows is the caller's to handle, unwarned.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(itertools.islice(text, lines + (last != b"\n")), **_CSV)
+            return np.loadtxt(_data_lines(itertools.islice(text, lines + (last != b"\n"))), **_CSV)
 
 
 def _read_parts(path: str) -> np.ndarray | None:
@@ -193,7 +200,9 @@ def read_matrix(path: str) -> np.ndarray:
     try:
         data = _read_parts(path)
         if data is None:
-            data = np.loadtxt(path, **_CSV)
+            # Opened as np.loadtxt opens a path, decompressing by the name.
+            with np.lib.npyio.DataSource(os.curdir).open(path, "rt") as text:
+                data = np.loadtxt(_data_lines(text), **_CSV)
     except Exception as exc:
         raise ValueError(f"could not parse {path} as CSV: {exc}") from exc
     if data.size == 0:

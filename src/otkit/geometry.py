@@ -21,7 +21,9 @@ Backends:
 
 * :class:`DenseGeometry` wraps an explicit cost matrix.
 * :class:`PointCloudGeometry` derives costs from two point sets in row
-  blocks, so the matrix never has to exist in memory.
+  blocks, so the matrix never has to exist in memory. It factors the cost
+  once, C = A B^T with A and B of d + 2 (cosine: d + 1) columns, so each
+  block of cost rows is one matrix product.
 * :class:`GridGeometry` handles costs that separate over the axes of a
   Cartesian grid; kernel applications, the solvers' included, factor
   into one small contraction per axis at any grid size, and nothing
@@ -31,10 +33,13 @@ Dense costs and point clouds share one kernel path in :class:`Geometry`,
 on the cost rows each yields. A solve's kernel is one n x m matrix up to
 ``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
 kernel from the cost blocks (a dense matrix is read in place, and copied
-into their buffers where the kernel is computed, never written), and a
-sweep's two products share one pass over them. ``block_size`` is a
-performance knob only, except in that pass's second product, which sums
-over row blocks and so depends on them up to rounding.
+into their buffer where the kernel is computed, never written), and a
+sweep's two products share one pass over them. A backend may compute the
+exponent rows (c - C)/eps itself (``_exponent_blocks``): point clouds
+with a squared-Euclidean or cosine cost take them from one product of
+eps-scaled factors. ``block_size`` is a performance knob only, except in
+that pass's second product, which sums over row blocks and so depends on
+them up to rounding.
 """
 
 from __future__ import annotations
@@ -201,17 +206,20 @@ class Geometry:
         """
         raise NotImplementedError
 
-    def _cost_blocks(self, transpose: bool = False, writable: bool = True):
+    def _cost_blocks(self, transpose: bool = False, writable: bool = True, into: np.ndarray | None = None):
         """Yields ``(start, stop, cost_rows)`` over blocks of ``block_size``
         rows of C, or of C^T when ``transpose``, from ``_cost_rows``. One
-        pair of block buffers serves the whole pass, so a block may be
-        overwritten by the next one. Unless ``writable``, the caller only
-        reads the blocks, and a stored C yields views of its rows."""
+        block buffer serves the whole pass, so a block may be overwritten
+        by the next one. Unless ``writable``, the caller only reads the
+        blocks, and a stored C yields views of its rows. Given ``into``, an
+        array of the whole matrix, each block is computed in its rows
+        instead, and no buffer is allocated."""
         n, m = self.shape[::-1] if transpose else self.shape
-        buffers = np.empty((2, min(self.block_size, n), m))
+        buffered = into is None and (writable or not self._stores_cost)
+        buffer = np.empty((min(self.block_size, n), m)) if buffered else None
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            out = buffers[:, : stop - start] if writable or not self._stores_cost else None
+            out = buffer[: stop - start] if buffered else (None if into is None else into[start:stop])
             yield start, stop, self._cost_rows(start, stop, transpose, out=out)
 
     def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
@@ -255,16 +263,14 @@ class Geometry:
         return (np.exp(kernel, out=kernel),), shift, floor
 
     def _midrange(self, eps: float, copy: np.ndarray | None = None) -> tuple | None:
-        """``(c, half_range)`` of C from one pass over its blocks, copied
-        into ``copy`` if given, or None as soon as half the range over eps
+        """``(c, half_range)`` of C from one pass over its blocks, computed
+        in ``copy`` if given, or None as soon as half the range over eps
         exceeds ``_KERNEL_EXPONENT_LIMIT``."""
         lo, hi = np.inf, -np.inf
-        for start, stop, cost in self._cost_blocks(writable=False):
+        for _, _, cost in self._cost_blocks(writable=False, into=copy):
             lo, hi = min(lo, cost.min()), max(hi, cost.max())
             if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
                 return None
-            if copy is not None:
-                copy[start:stop] = cost
         half_range = 0.5 * (hi - lo)
         return lo + half_range, half_range
 
@@ -278,12 +284,18 @@ class Geometry:
         return self._streamed_blocks(*factors, transpose)
 
     def _streamed_blocks(self, shift: float, eps: float, transpose: bool):
-        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over
+        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over the
+        row blocks of ``_exponent_blocks``, each computed in its buffer."""
+        for start, stop, exponent in self._exponent_blocks(shift, eps, transpose):
+            yield start, stop, np.exp(exponent, out=exponent)
+
+    def _exponent_blocks(self, shift: float, eps: float, transpose: bool):
+        """Yields ``(start, stop, (shift - cost_rows)/eps)`` over
         ``_cost_blocks``, each computed in its cost block's buffer."""
         for start, stop, cost in self._cost_blocks(transpose):
             np.subtract(shift, cost, out=cost)
             cost /= eps
-            yield start, stop, np.exp(cost, out=cost)
+            yield start, stop, cost
 
     def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
         """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
@@ -398,13 +410,13 @@ class DenseGeometry(Geometry):
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
         """Cost rows [start, stop) of C, or of C^T when ``transpose``: a
-        view of the matrix, or a copy in ``out[0]`` if a buffer pair
-        ``out`` is given, which callers may then overwrite."""
+        view of the matrix, or a copy in the buffer ``out`` if given, which
+        callers may then overwrite."""
         rows = (self._cost.T if transpose else self._cost)[start:stop]
         if out is None:
             return rows
-        out[0][...] = rows
-        return out[0]
+        out[...] = rows
+        return out
 
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
@@ -424,6 +436,15 @@ class PointCloudGeometry(Geometry):
     cosine similarity; zero vectors are rejected). Kernel applications
     materialize at most ``block_size`` cost rows at a time, so memory
     stays O(block_size * max(n, m)).
+
+    Costs come from factors A (n x k) and B (m x k) built once, with
+    A B^T the squared distance or cosine cost (k = d + 2 or d + 1), so a
+    block of cost rows is one matrix product. Squared distances are taken
+    between the points centered on their common mean, which leaves the
+    cost unchanged and keeps it accurate far from the origin. Above
+    ``DEFAULT_DENSE_CAP``, the streamed kernel of a squared-Euclidean or
+    cosine cost takes each block's exponent (shift - C)/eps from one
+    product too, of eps-scaled factors.
     """
 
     def __init__(
@@ -449,7 +470,9 @@ class PointCloudGeometry(Geometry):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         if cost_fn == "cosine":
-            if np.any(np.linalg.norm(x, axis=1) == 0) or np.any(np.linalg.norm(y, axis=1) == 0):
+            x_norm = np.linalg.norm(x, axis=1, keepdims=True)
+            y_norm = np.linalg.norm(y, axis=1, keepdims=True)
+            if np.any(x_norm == 0) or np.any(y_norm == 0):
                 raise ValueError("cosine cost is undefined for zero vectors")
         self.x = x
         self.y = y
@@ -460,47 +483,62 @@ class PointCloudGeometry(Geometry):
         # Same point set on both sides: enforce an exactly zero diagonal,
         # which pairwise formulas only give up to rounding.
         self._same_points = x is y or (x.shape == y.shape and np.array_equal(x, y))
-
-    def _cost_block(self, xs: np.ndarray, ys: np.ndarray, pairs: bool = False, out=None) -> np.ndarray:
-        """Costs between every row of xs and every row of ys, or with
-        ``pairs`` only between xs[k] and ys[k]. ``out``, a pair of
-        (len(xs), len(ys)) arrays, holds the block and its cross term
-        instead of new arrays."""
-        block, cross = (None, None) if out is None else out
-
-        def dot(u, v, into):
-            return np.einsum("kd,kd->k", u, v) if pairs else np.matmul(u, v.T, out=into)
-
-        if self.cost_fn == "cosine":
-            xy = dot(
-                xs / np.linalg.norm(xs, axis=1, keepdims=True),
-                ys / np.linalg.norm(ys, axis=1, keepdims=True),
-                block,
+        # C = A B^T; _ones[t] is the ones column of the right factor of C
+        # (t = 0) or of C^T (t = 1), where a shift of the exponent enters.
+        if cost_fn == "cosine":
+            self._factors = (
+                np.hstack([np.ones((len(x), 1)), -x / x_norm]),
+                np.hstack([np.ones((len(y), 1)), y / y_norm]),
             )
-            return np.subtract(1.0, xy, out=xy)
-        xx = np.einsum("id,id->i", xs, xs)
-        yy = np.einsum("jd,jd->j", ys, ys)
-        if pairs:
-            sq = xx + yy
-        else:  # a row-broadcast copy and an in-place add beat one broadcast add
-            sq = np.empty((len(xx), len(yy))) if block is None else block
-            np.copyto(sq, xx[:, None])
-            sq += yy
-        sq -= dot(2.0 * xs, ys, cross)
-        np.maximum(sq, 0.0, out=sq)
+            self._ones = (0, 0)
+        else:
+            mean = np.concatenate([x, y]).mean(axis=0)
+            xc, yc = x - mean, y - mean
+            self._factors = (
+                np.hstack([np.einsum("id,id->i", xc, xc)[:, None], np.ones((len(x), 1)), -2.0 * xc]),
+                np.hstack([np.ones((len(y), 1)), np.einsum("jd,jd->j", yc, yc)[:, None], yc]),
+            )
+            self._ones = (0, 1)
+
+    def _product_rows(self, left, right, start: int, stop: int, out, diagonal: float) -> np.ndarray:
+        """Rows [start, stop) of left right^T, in ``out`` if given, with the
+        same-points diagonal set to ``diagonal``."""
+        rows = np.matmul(left[start:stop], right.T, out=out)
+        if self._same_points:
+            idx = np.arange(start, min(stop, right.shape[0]))
+            rows[idx - start, idx] = diagonal
+        return rows
+
+    def _finish(self, products: np.ndarray) -> np.ndarray:
+        """Costs from factor products, in place: squared distances are
+        clamped at 0, and Euclidean ones are their square roots."""
+        if self.cost_fn != "cosine":
+            np.maximum(products, 0.0, out=products)
         if self.cost_fn == "eucl":
-            np.sqrt(sq, out=sq)
-        return sq
+            np.sqrt(products, out=products)
+        return products
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
         """Cost rows [start, stop) of C, or of C^T when ``transpose``,
-        computed in the buffer pair ``out`` if given."""
-        xs, ys = (self.y, self.x) if transpose else (self.x, self.y)
-        block = self._cost_block(xs[start:stop], ys, out=out)
-        if self._same_points:
-            idx = np.arange(start, min(stop, ys.shape[0]))
-            block[idx - start, idx] = 0.0
-        return block
+        computed in the buffer ``out`` if given."""
+        left, right = self._factors[::-1] if transpose else self._factors
+        return self._finish(self._product_rows(left, right, start, stop, out, 0.0))
+
+    def _exponent_blocks(self, shift, eps, transpose):
+        # (shift - A B^T)/eps = A' B^T with A' = (shift e - A)/eps, e the
+        # ones column of B; a Euclidean cost's square root is not linear.
+        if self.cost_fn == "eucl":
+            yield from super()._exponent_blocks(shift, eps, transpose)
+            return
+        left, right = self._factors[::-1] if transpose else self._factors
+        scaled = np.negative(left)
+        scaled[:, self._ones[transpose]] += shift
+        scaled /= eps
+        n, m = len(left), len(right)
+        buffer = np.empty((min(self.block_size, n), m))
+        for start in range(0, n, self.block_size):
+            stop = min(start + self.block_size, n)
+            yield start, stop, self._product_rows(scaled, right, start, stop, buffer[: stop - start], shift / eps)
 
     def mean_cost(self) -> float:
         n, m = self.shape
@@ -509,7 +547,8 @@ class PointCloudGeometry(Geometry):
         rng = np.random.default_rng(0)
         i = rng.integers(0, n, size=_MEAN_COST_SAMPLES)
         j = rng.integers(0, m, size=_MEAN_COST_SAMPLES)
-        vals = self._cost_block(self.x[i], self.y[j], pairs=True)
+        a, b = self._factors
+        vals = self._finish(np.einsum("kr,kr->k", a[i], b[j]))
         if self._same_points:
             vals = np.where(i == j, 0.0, vals)
         return float(vals.mean())

@@ -895,6 +895,8 @@ SPLIT_TEXTS = {
     # The later parts hold only comments: they have no data rows, so the
     # file is parsed whole, and no loadtxt warning escapes.
     "a-part-of-comments": "1,2\n3,4\n" + "# a long comment line\n" * 40,
+    # Whitespace-only lines between all rows, so on both sides of any cut.
+    "whitespace-lines": "".join(f"{i}.5,{-i}\n  \n\t\n" for i in range(30)),
 }
 
 
@@ -927,6 +929,43 @@ def test_split_reads_compressed_csvs_whole(tmp_path, monkeypatch, split_reads, p
     assert expected.shape == (40, 1)
     assert split_reads[-1] is False
     assert_nothing_left(tmp_path, {"m.csv.gz"})
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1\n  \n2\n", [[1.0], [2.0]]),
+        ("1,2\n\t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ],
+    ids=["spaces", "spaces-one-column", "tab"],
+)
+def test_whitespace_only_lines_are_skipped(tmp_path, monkeypatch, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    data = one_process(monkeypatch, read_matrix, str(path))
+    assert data.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_whitespace_line_just_after_a_cut_is_skipped(tmp_path, monkeypatch, split_reads, parts):
+    from otkit.fileio import _cuts
+
+    rows = [f"{i % 10}.5,2\n" for i in range(60)]
+    path = tmp_path / "m.csv"
+    path.write_text("".join(rows))
+    split_csv(monkeypatch, parts)
+    # A whitespace line of a row's length keeps every cut where it was.
+    cut = _cuts(str(path))[1]
+    rows[cut // 6] = " \t   \n"
+    path.write_text("".join(rows))
+    assert _cuts(str(path))[1] == cut
+    expected = np.array([[float(row.split(",")[0]), 2.0] for row in rows if not row.isspace()])
+    data = read_matrix(str(path))
+    assert data.tobytes() == expected.tobytes()
+    assert split_reads[-1] is True
+    assert data.tobytes() == one_process(monkeypatch, read_matrix, str(path)).tobytes()
+    assert_nothing_left(tmp_path, {"m.csv"})
 
 
 @pytest.mark.parametrize("parts", [2, 3])

@@ -77,6 +77,81 @@ def test_self_cost_is_symmetric_with_zero_diagonal():
     npt.assert_allclose(cost, cost.T, rtol=0, atol=1e-14)
 
 
+def _longdouble_costs(x, y, cost_fn):
+    """The n x m cost matrix by the difference (or normalized-dot) formula,
+    in extended precision."""
+    x, y = x.astype(np.longdouble), y.astype(np.longdouble)
+    if cost_fn == "cosine":
+        x = x / np.sqrt((x * x).sum(axis=1, keepdims=True))
+        y = y / np.sqrt((y * y).sum(axis=1, keepdims=True))
+        return 1 - x @ y.T
+    sq = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(sq) if cost_fn == "eucl" else sq
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    d=st.integers(1, 4),
+    cost_fn=st.sampled_from(COST_FNS),
+    offset=st.sampled_from([0.0, 1.0, 10.0, 100.0, 1e3]),
+    same=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pointcloud_costs_match_the_difference_formula_far_from_the_origin(n, m, d, cost_fn, offset, same, seed):
+    # Both clouds share a common offset. Distances do not depend on it, so
+    # they must stay within 1e-12 of the mean cost; a Euclidean cost is
+    # compared through its square, since a square root near 0 magnifies
+    # any rounding of the squared distance. The cosine cost does depend on
+    # the offset, and any formula for it rounds in units of 1, its scale.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) + offset
+    y = x.copy() if same else rng.standard_normal((m, d)) + offset
+    geom = PointCloudGeometry(x, y, cost_fn, block_size=5)
+    expected = _longdouble_costs(x, y, cost_fn)
+    blocks = np.vstack([rows.copy() for _, _, rows in geom._cost_blocks(transpose=True)])
+    for costs in (geom.cost_matrix(), blocks.T):
+        if cost_fn == "eucl":
+            costs, reference = costs**2, expected**2
+        else:
+            reference = expected
+        scale = 1.0 if cost_fn == "cosine" else float(reference.mean())
+        assert float(np.abs(costs - reference).max()) <= 1e-12 * scale
+        if same:
+            npt.assert_array_equal(np.diag(costs), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize(
+    "cost_fn, offset, same",
+    [("sqeucl", 0.0, False), ("sqeucl", 1e3, False), ("sqeucl", 0.0, True), ("cosine", 0.0, False),
+     ("cosine", 0.0, True), ("eucl", 0.0, False)],
+)
+@pytest.mark.parametrize("eps_scale", [0.1, 0.01])
+def test_streamed_exponent_rows_match_the_shifted_cost(monkeypatch, cost_fn, offset, same, eps_scale):
+    # Above the cap, squared-Euclidean and cosine exponents come from one
+    # product of eps-scaled factors; they must match (shift - C)/eps from
+    # cost_matrix() within 1e-13 of its largest magnitude. A Euclidean
+    # cost takes the cost rows' path.
+    monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((30, 3)) + offset
+    y = x if same else rng.standard_normal((20, 3)) + offset
+    geom = PointCloudGeometry(x, y, cost_fn, block_size=7)
+    cost = geom.cost_matrix(max_entries=len(x) * len(y))
+    eps = eps_scale * geom.mean_cost()
+    factors, shift, _ = geom._gibbs(eps, None)
+    assert factors == (shift, eps)
+    for transpose in (False, True):
+        expected = (shift - (cost.T if transpose else cost)) / eps
+        rows = np.vstack([r.copy() for _, _, r in geom._exponent_blocks(shift, eps, transpose)])
+        npt.assert_allclose(rows, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        kernel = np.vstack([r.copy() for _, _, r in geom._streamed_blocks(shift, eps, transpose)])
+        npt.assert_array_equal(kernel, np.exp(rows))
+        if same:
+            npt.assert_array_equal(np.diag(kernel), np.full(len(x), np.exp(shift / eps)))
+
+
 def test_cost_matrix_refuses_to_materialize_past_the_cap():
     geom = PointCloudGeometry(np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="entries"):
@@ -329,6 +404,13 @@ def test_subsampled_mean_cost_is_deterministic_and_close():
         j = pairs.integers(0, m, size=_MEAN_COST_SAMPLES)
         sampled = geom.cost_matrix()[i, j].mean()
         assert abs(geom.mean_cost() - sampled) <= 1e-12 * sampled, cost_fn
+    # Distances do not depend on a common offset, and neither does their
+    # estimate, which stays deterministic there too.
+    for cost_fn in ("sqeucl", "eucl"):
+        near = PointCloudGeometry(x, y, cost_fn).mean_cost()
+        far = PointCloudGeometry(x + 1e3, y + 1e3, cost_fn).mean_cost()
+        assert far == PointCloudGeometry(x + 1e3, y + 1e3, cost_fn).mean_cost()
+        assert abs(far - near) <= 1e-12 * near, cost_fn
 
 
 @pytest.mark.parametrize("grid_shape", [(3, 4), (5, 7), (2, 3, 4)])
