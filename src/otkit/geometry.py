@@ -2,44 +2,32 @@
 
 A geometry describes ground costs c(x_i, y_j) between two families of
 locations without necessarily storing the full n-by-m cost matrix.
-Solvers interact with costs exclusively through the geometry: it
-materializes the matrix (``cost_matrix``), applies the Gibbs kernel
-exp(-C/eps) to a vector (``apply_kernel``) or in the log domain
-(``apply_lse_kernel``), and builds a solve's kernel (``_gibbs``) and
-applies it, one product at a time (``_contract``) or both products of
-a Sinkhorn sweep at once (``_sweep``). ``_KernelStep.sweep`` runs on
-these for Sinkhorn, whose convergence check reads the next sweep's
-first product, and for the barycenter, falling back to the log domain.
-Couplings are formed only in row blocks (``_cost_blocks``,
-``_plan_blocks``): ``reg_ot_cost``, ``grad_points``, soft sorting and
-``otkit lin`` without ``--coupling-out`` stream them, while
-``transport_matrix`` (``--coupling-out``, ``sort_transport``), the
+Solvers reach costs only through the geometry: it materializes the
+matrix (``cost_matrix``), applies the Gibbs kernel exp(-C/eps) to a
+vector (``apply_kernel``) or in the log domain (``apply_lse_kernel``),
+and builds a solve's kernel (``_gibbs``) and applies it (``_contract``,
+``_sweep``) for ``_KernelStep``, which runs the Sinkhorn and barycenter
+sweeps. :class:`DenseGeometry` wraps a cost matrix, read in place and
+never written; :class:`PointCloudGeometry` factors its cost once as
+C = A B^T; :class:`GridGeometry` contracts costs that separate over the
+axes of a grid one axis at a time, allocating nothing N x N.
+
+On dense costs and point clouds every plan, kernel and log-sum-exp comes
+from one pass, ``_exponent_blocks``: row blocks of (f_i + g_j - C_ij)/eps,
+each in one reused ``block_size x m`` buffer or in its rows of a given
+array. The base version adds f_i + g_j, then subtracts the cost rows and
+divides by eps; squared-Euclidean and cosine clouds take each block from
+one product of factors augmented with f and g. Coupling reductions
+exponentiate the blocks (``_plan_blocks``), and the log domain reduces
+each in place, so neither holds more than one block. A solve's kernel is
+exp((c - C)/eps), c the midrange of C, which is scanned once per
+geometry: one n x m matrix written from the blocks up to
+``DEFAULT_DENSE_CAP`` entries, and above it the blocks again at every
+sweep, whose two products share one pass. ``transport_matrix``, the
 low-rank solver and Gromov-Wasserstein materialize n x m matrices and
-refuse above ``DEFAULT_DENSE_CAP`` entries.
-
-Backends:
-
-* :class:`DenseGeometry` wraps an explicit cost matrix.
-* :class:`PointCloudGeometry` derives costs from two point sets in row
-  blocks, so the matrix never has to exist in memory. It factors the cost
-  once, C = A B^T with A and B of d + 2 (cosine: d + 1) columns, so each
-  block of cost rows is one matrix product.
-* :class:`GridGeometry` handles costs that separate over the axes of a
-  Cartesian grid; kernel applications, the solvers' included, factor
-  into one small contraction per axis at any grid size, and nothing
-  N x N is allocated.
-
-Dense costs and point clouds share one kernel path in :class:`Geometry`,
-on the cost rows each yields. A solve's kernel is one n x m matrix up to
-``DEFAULT_DENSE_CAP`` entries; above it, each product recomputes the
-kernel from the cost blocks (a dense matrix is read in place, and copied
-into their buffer where the kernel is computed, never written), and a
-sweep's two products share one pass over them. A backend may compute the
-exponent rows (c - C)/eps itself (``_exponent_blocks``): point clouds
-with a squared-Euclidean or cosine cost take them from one product of
-eps-scaled factors. ``block_size`` is a performance knob only, except in
-that pass's second product, which sums over row blocks and so depends on
-them up to rounding.
+refuse above the cap. ``block_size`` is a performance knob only, except
+in a sweep's second product, which sums over row blocks and so depends
+on them up to rounding.
 """
 
 from __future__ import annotations
@@ -81,12 +69,20 @@ _TINY = np.finfo(float).tiny
 COST_FNS = ("sqeucl", "eucl", "cosine")
 
 
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along ``axis`` with max subtraction; tolerates -inf slices."""
+def _lse(x: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """Log-sum-exp along ``axis`` with max subtraction; tolerates -inf
+    slices. ``overwrite`` lets it work in ``x``."""
     hi = np.max(x, axis=axis, keepdims=True)
     hi = np.where(np.isfinite(hi), hi, 0.0)
+    x = np.subtract(x, hi, out=x if overwrite else None)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - hi), axis=axis)) + np.squeeze(hi, axis=axis)
+        return np.log(np.sum(np.exp(x, out=x), axis=axis)) + np.squeeze(hi, axis=axis)
+
+
+def _exp(blocks):
+    """Exponentiates each block ``(start, stop, rows)`` in place."""
+    for start, stop, rows in blocks:
+        yield start, stop, np.exp(rows, out=rows)
 
 
 def _check_axis(axis: str) -> None:
@@ -107,16 +103,6 @@ def _check_epsilon_default(eps: float | None) -> float | None:
     if eps is not None and not (0 < eps < np.inf):
         raise ValueError(f"epsilon_default must be positive and finite, got {float(eps)}")
     return eps
-
-
-def _check_potential(p: np.ndarray, size: int, name: str) -> np.ndarray:
-    # Potentials may carry -inf (zero-weight locations); NaN and +inf may not.
-    p = np.asarray(p, dtype=float)
-    if p.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {p.shape}")
-    if np.isnan(p).any() or np.any(p == np.inf):
-        raise ValueError(f"{name} contains NaN or +inf entries")
-    return p
 
 
 class EpsilonSchedule:
@@ -150,8 +136,11 @@ class Geometry:
     _shape: tuple[int, int]
     _epsilon_default: float | None
     block_size: int = DEFAULT_BLOCK_SIZE
-    # Whether ``_cost_rows`` without buffers returns views of a stored C.
+    # Whether ``_cost_rows`` returns views of a stored C, and whether
+    # ``_exponent_blocks`` needs no cost rows.
     _stores_cost: bool = False
+    _factored: bool = False
+    _range: tuple[float, float] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -204,37 +193,75 @@ class Geometry:
         ``eps * log(e^{f/eps} * (K e^{g/eps}))`` without ever forming K.
         Potentials may contain -inf entries (excluded mass).
         """
-        raise NotImplementedError
+        _check_axis(axis)
+        eps = self._resolve_eps(eps)
+        f, g = self._check_potentials(f, g)
+        out = np.empty(len(f) if axis == "rows" else len(g))
+        # Each exponent block is reduced in its own buffer.
+        for start, stop, rows in self._exponent_blocks(f, g, eps, axis == "cols"):
+            out[start:stop] = _lse(rows, axis=1, overwrite=True)
+        return eps * out
 
-    def _cost_blocks(self, transpose: bool = False, writable: bool = True, into: np.ndarray | None = None):
-        """Yields ``(start, stop, cost_rows)`` over blocks of ``block_size``
-        rows of C, or of C^T when ``transpose``, from ``_cost_rows``. One
-        block buffer serves the whole pass, so a block may be overwritten
-        by the next one. Unless ``writable``, the caller only reads the
-        blocks, and a stored C yields views of its rows. Given ``into``, an
-        array of the whole matrix, each block is computed in its rows
-        instead, and no buffer is allocated."""
-        n, m = self.shape[::-1] if transpose else self.shape
-        buffered = into is None and (writable or not self._stores_cost)
-        buffer = np.empty((min(self.block_size, n), m)) if buffered else None
+    def _check_potentials(self, f, g) -> tuple[np.ndarray, np.ndarray]:
+        # Potentials may carry -inf (zero-weight locations); NaN and +inf may not.
+        checked = []
+        for p, size, name in ((f, self.shape[0], "f"), (g, self.shape[1], "g")):
+            p = np.asarray(p, dtype=float)
+            if p.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},), got {p.shape}")
+            if np.isnan(p).any() or np.any(p == np.inf):
+                raise ValueError(f"{name} contains NaN or +inf entries")
+            checked.append(p)
+        return tuple(checked)
+
+    def _blocks(self, n: int, m: int, into=None):
+        """Yields ``(start, stop, out)`` over blocks of ``block_size`` rows of
+        an n x m array: rows of ``into`` if given, else of one reused buffer."""
+        buffer = np.empty((min(self.block_size, n), m)) if into is None else None
         for start in range(0, n, self.block_size):
             stop = min(start + self.block_size, n)
-            out = buffer[: stop - start] if buffered else (None if into is None else into[start:stop])
-            yield start, stop, self._cost_rows(start, stop, transpose, out=out)
+            yield start, stop, buffer[: stop - start] if into is None else into[start:stop]
 
-    def _plan_blocks(self, f: np.ndarray, g: np.ndarray, eps: float):
-        """Yields ``(start, stop, cost_rows, plan_rows)`` of the coupling
-        exp((f + g - C)/eps) over the row blocks of ``_cost_blocks``. The
-        plan rows, too, share one buffer over the pass."""
-        n, m = self.shape
-        f = _check_potential(f, n, "f")
-        g = _check_potential(g, m, "g")
-        buffer = np.empty((min(self.block_size, n), m))
-        for start, stop, cost in self._cost_blocks(writable=False):
-            plan = np.add(f[start:stop, None], g[None, :], out=buffer[: stop - start])
-            plan -= cost
-            plan /= eps
-            yield start, stop, cost, np.exp(plan, out=plan)
+    def _cost_blocks(self, transpose: bool = False, into=None):
+        """Yields ``(start, stop, cost_rows)`` over the row blocks of C, or of
+        C^T when ``transpose``, to read: in ``into`` if given, else views of
+        a stored C or one reused buffer."""
+        n, m = self.shape[::-1] if transpose else self.shape
+        views = into is None and self._stores_cost
+        for start, stop, out in self._blocks(n, 0 if views else m, into):
+            yield start, stop, self._cost_rows(start, stop, transpose, out=None if views else out)
+
+    def _exponent_blocks(self, f, g, eps: float, transpose: bool = False, into=None):
+        """Yields ``(start, stop, rows)`` over the row blocks (``_blocks``) of
+        (f_i + g_j - C_ij)/eps, or of its transpose when ``transpose``."""
+        return ((start, stop, rows) for start, stop, _, rows in self._cost_exponents(f, g, eps, transpose, into))
+
+    def _cost_exponents(self, f, g, eps: float, transpose: bool = False, into=None):
+        """Yields ``(start, stop, cost_rows, exponent_rows)``, the exponent
+        formed as f_i + g_j, less the cost rows, over eps."""
+        outer, inner = (g, f) if transpose else (f, g)
+        blocks = self._blocks(len(outer), len(inner), into)
+        for (start, stop, cost), (_, _, rows) in zip(self._cost_blocks(transpose), blocks):
+            np.add(outer[start:stop, None], inner, out=rows)
+            rows -= cost
+            rows /= eps
+            yield start, stop, cost, rows
+
+    def _plan_blocks(self, f, g, eps: float, into=None):
+        """Yields ``(start, stop, plan_rows)`` of the coupling exp((f + g - C)/eps)."""
+        f, g = self._check_potentials(f, g)
+        return _exp(self._exponent_blocks(f, g, eps, into=into))
+
+    def _transport_rows(self, f, g, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(<C_i, P_i>, sum_j P_ij)`` over the rows i of the coupling P."""
+        f, g = self._check_potentials(f, g)
+        row_cost, row_mass = np.empty(len(f)), np.empty(len(f))
+        for start, stop, cost, plan in self._cost_exponents(f, g, eps):
+            np.exp(plan, out=plan)
+            row_mass[start:stop] = plan.sum(axis=1)
+            plan *= cost
+            row_cost[start:stop] = plan.sum(axis=1)
+        return row_cost, row_mass
 
     def _gibbs(self, eps: float, old: tuple | None) -> tuple | None:
         """``(factors, c, floor)`` of the kernel exp((c - C)/eps), c the
@@ -242,37 +269,39 @@ class Geometry:
         ``_KERNEL_EXPONENT_LIMIT``. ``floor`` is tiny times the largest entry:
         an underflowed or subnormal scaling then moves no product at least
         ``floor`` by more than rounding. Up to ``DEFAULT_DENSE_CAP`` entries
-        the factors are one n x m matrix, refilled in place from ``old``;
-        above it they are ``(c, eps)``, and every product recomputes the
-        kernel from the cost blocks (``_kernel_blocks``). Either way a
-        build is one pass over the cost blocks.
+        the factors are one n x m matrix (``old``'s, if given), the exp of
+        ``_exponent_blocks``; above it they are ``(c, eps)``, and every
+        product recomputes those blocks (``_kernel_blocks``).
         """
         n, m = self.shape
         kernel = None
         if n * m <= DEFAULT_DENSE_CAP:
             kernel = old[0][0] if old else np.empty((n, m))
-        span = self._midrange(eps, kernel)
-        if span is None:
+        # The first range scan leaves C in the kernel; without factors, the
+        # exponent is then formed there in place.
+        in_place = self._range is None and not self._factored
+        lo, hi = self._cost_range(kernel)
+        half_range = 0.5 * (hi - lo)
+        if half_range > _KERNEL_EXPONENT_LIMIT * eps:
             return None
-        shift, half_range = span
-        floor = _TINY * np.exp(half_range / eps)
+        shift, floor = lo + half_range, _TINY * np.exp(half_range / eps)
         if kernel is None:
             return (shift, eps), shift, floor
-        np.subtract(shift, kernel, out=kernel)
-        kernel /= eps
+        if in_place:
+            np.subtract(shift, kernel, out=kernel)
+            kernel /= eps
+        else:
+            for _ in self._exponent_blocks(np.full(n, shift), np.zeros(m), eps, into=kernel):
+                pass
         return (np.exp(kernel, out=kernel),), shift, floor
 
-    def _midrange(self, eps: float, copy: np.ndarray | None = None) -> tuple | None:
-        """``(c, half_range)`` of C from one pass over its blocks, computed
-        in ``copy`` if given, or None as soon as half the range over eps
-        exceeds ``_KERNEL_EXPONENT_LIMIT``."""
-        lo, hi = np.inf, -np.inf
-        for _, _, cost in self._cost_blocks(writable=False, into=copy):
-            lo, hi = min(lo, cost.min()), max(hi, cost.max())
-            if 0.5 * (hi - lo) > _KERNEL_EXPONENT_LIMIT * eps:
-                return None
-        half_range = 0.5 * (hi - lo)
-        return lo + half_range, half_range
+    def _cost_range(self, into=None) -> tuple[float, float]:
+        """``(min C, max C)``, kept (in ``_range``) from one pass over the
+        cost blocks, in ``into`` if given: it does not depend on eps."""
+        if self._range is None:
+            lo, hi = zip(*((cost.min(), cost.max()) for _, _, cost in self._cost_blocks(into=into)))
+            self._range = float(min(lo)), float(max(hi))
+        return self._range
 
     def _kernel_blocks(self, factors, transpose: bool = False):
         """``(start, stop, kernel_rows)`` over the row blocks of the kernel
@@ -284,18 +313,9 @@ class Geometry:
         return self._streamed_blocks(*factors, transpose)
 
     def _streamed_blocks(self, shift: float, eps: float, transpose: bool):
-        """Yields ``(start, stop, exp((shift - cost_rows)/eps))`` over the
-        row blocks of ``_exponent_blocks``, each computed in its buffer."""
-        for start, stop, exponent in self._exponent_blocks(shift, eps, transpose):
-            yield start, stop, np.exp(exponent, out=exponent)
-
-    def _exponent_blocks(self, shift: float, eps: float, transpose: bool):
-        """Yields ``(start, stop, (shift - cost_rows)/eps)`` over
-        ``_cost_blocks``, each computed in its cost block's buffer."""
-        for start, stop, cost in self._cost_blocks(transpose):
-            np.subtract(shift, cost, out=cost)
-            cost /= eps
-            yield start, stop, cost
+        """The blocks of exp((shift - C)/eps), or of its transpose."""
+        n, m = self.shape
+        return _exp(self._exponent_blocks(np.full(n, shift), np.zeros(m), eps, transpose))
 
     def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
         """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
@@ -335,18 +355,14 @@ class Geometry:
             )
 
 
-def _normal(product: np.ndarray, floor: float) -> bool:
-    """Whether a kernel product lies in [floor, inf), NaN-free."""
-    return product.min() >= floor and product.max() < np.inf
-
-
 class _KernelStep:
     """A solve's Sinkhorn sweeps (``sweep``), each two products
     ``eps * log(K exp(p / eps))``, K = exp(-C/eps), on the geometry's
-    kernel of the cost shifted by its midrange (``_gibbs``), built again
-    whenever eps changes. When the geometry declines, and from the first
-    product outside float64's normal range on, it calls
-    ``apply_lse_kernel`` and raises ``DivergedError`` at sweep t on a
+    kernel of the cost shifted by its midrange (``_gibbs``), built again,
+    from the exponent blocks and the kept cost range, whenever eps
+    changes. When the geometry declines, and from the first product
+    outside float64's normal range on, it calls ``apply_lse_kernel``, on
+    the same blocks, and raises ``DivergedError`` at sweep t on a
     non-finite result. Callers run it under ``np.errstate(all="ignore")``.
     """
 
@@ -365,9 +381,11 @@ class _KernelStep:
         if self._on_kernel(eps):
             factors, shift, floor = self.gibbs
             kv, ktu = self.geom._sweep(factors, np.exp(g / eps), a)
-            if _normal(kv, floor) and _normal(ktu, floor):
+            # Both products lie in [floor, inf), NaN-free.
+            if kv.min() >= floor and ktu.min() >= floor and kv.max() < np.inf and ktu.max() < np.inf:
                 return eps * log_a - (eps * np.log(kv) - shift), eps * np.log(ktu)
-            self._leave(t)
+            logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
+            self.gibbs = None
         f = eps * log_a - self._lse(g, eps, "rows", t)
         return f, self._lse(f, eps, "cols", t)
 
@@ -376,10 +394,6 @@ class _KernelStep:
         if self.gibbs is not None and eps != self.eps:
             self.gibbs, self.eps = self.geom._gibbs(eps, self.gibbs), eps
         return self.gibbs is not None
-
-    def _leave(self, t: int) -> None:
-        logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
-        self.gibbs = None
 
     def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
@@ -410,22 +424,12 @@ class DenseGeometry(Geometry):
 
     def _cost_rows(self, start: int, stop: int, transpose: bool = False, out=None) -> np.ndarray:
         """Cost rows [start, stop) of C, or of C^T when ``transpose``: a
-        view of the matrix, or a copy in the buffer ``out`` if given, which
-        callers may then overwrite."""
+        view of the matrix, or a copy in ``out`` if given."""
         rows = (self._cost.T if transpose else self._cost)[start:stop]
         if out is None:
             return rows
         out[...] = rows
         return out
-
-    def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
-        _check_axis(axis)
-        eps = self._resolve_eps(eps)
-        n, m = self.shape
-        f = _check_potential(f, n, "f")
-        g = _check_potential(g, m, "g")
-        z = (f[:, None] + g[None, :] - self._cost) / eps
-        return eps * _lse(z, axis=1 if axis == "rows" else 0)
 
 
 class PointCloudGeometry(Geometry):
@@ -433,18 +437,14 @@ class PointCloudGeometry(Geometry):
 
     Supported cost functions: squared Euclidean (``"sqeucl"``),
     Euclidean (``"eucl"``) and cosine (``"cosine"``, one minus the
-    cosine similarity; zero vectors are rejected). Kernel applications
-    materialize at most ``block_size`` cost rows at a time, so memory
-    stays O(block_size * max(n, m)).
+    cosine similarity; zero vectors are rejected). Streamed passes hold
+    at most ``block_size`` rows at a time: O(block_size * max(n, m)).
 
-    Costs come from factors A (n x k) and B (m x k) built once, with
-    A B^T the squared distance or cosine cost (k = d + 2 or d + 1), so a
-    block of cost rows is one matrix product. Squared distances are taken
-    between the points centered on their common mean, which leaves the
-    cost unchanged and keeps it accurate far from the origin. Above
-    ``DEFAULT_DENSE_CAP``, the streamed kernel of a squared-Euclidean or
-    cosine cost takes each block's exponent (shift - C)/eps from one
-    product too, of eps-scaled factors.
+    Costs come from factors A (n x k) and B (m x k) built once, A B^T the
+    squared distance (k = d + 2) of the points centered on their common
+    mean, accurate far from the origin, or the cosine cost (k = d + 1).
+    Either is linear in them: an exponent block is one product of factors
+    augmented with f and g, and <C, P> is read off P B.
     """
 
     def __init__(
@@ -483,14 +483,13 @@ class PointCloudGeometry(Geometry):
         # Same point set on both sides: enforce an exactly zero diagonal,
         # which pairwise formulas only give up to rounding.
         self._same_points = x is y or (x.shape == y.shape and np.array_equal(x, y))
-        # C = A B^T; _ones[t] is the ones column of the right factor of C
-        # (t = 0) or of C^T (t = 1), where a shift of the exponent enters.
+        self._factored = cost_fn != "eucl"
+        # C = A B^T; the first column of B is ones.
         if cost_fn == "cosine":
             self._factors = (
                 np.hstack([np.ones((len(x), 1)), -x / x_norm]),
                 np.hstack([np.ones((len(y), 1)), y / y_norm]),
             )
-            self._ones = (0, 0)
         else:
             mean = np.concatenate([x, y]).mean(axis=0)
             xc, yc = x - mean, y - mean
@@ -498,15 +497,14 @@ class PointCloudGeometry(Geometry):
                 np.hstack([np.einsum("id,id->i", xc, xc)[:, None], np.ones((len(x), 1)), -2.0 * xc]),
                 np.hstack([np.ones((len(y), 1)), np.einsum("jd,jd->j", yc, yc)[:, None], yc]),
             )
-            self._ones = (0, 1)
 
-    def _product_rows(self, left, right, start: int, stop: int, out, diagonal: float) -> np.ndarray:
+    def _product_rows(self, left, right, start: int, stop: int, out, diagonal) -> np.ndarray:
         """Rows [start, stop) of left right^T, in ``out`` if given, with the
         same-points diagonal set to ``diagonal``."""
         rows = np.matmul(left[start:stop], right.T, out=out)
         if self._same_points:
             idx = np.arange(start, min(stop, right.shape[0]))
-            rows[idx - start, idx] = diagonal
+            rows[idx - start, idx] = np.broadcast_to(diagonal, right.shape[:1])[idx]
         return rows
 
     def _finish(self, products: np.ndarray) -> np.ndarray:
@@ -524,21 +522,29 @@ class PointCloudGeometry(Geometry):
         left, right = self._factors[::-1] if transpose else self._factors
         return self._finish(self._product_rows(left, right, start, stop, out, 0.0))
 
-    def _exponent_blocks(self, shift, eps, transpose):
-        # (shift - A B^T)/eps = A' B^T with A' = (shift e - A)/eps, e the
-        # ones column of B; a Euclidean cost's square root is not linear.
-        if self.cost_fn == "eucl":
-            yield from super()._exponent_blocks(shift, eps, transpose)
-            return
+    def _exponent_blocks(self, f, g, eps, transpose=False, into=None):
+        # (f_i + g_j - A_i.B_j)/eps = [-A_i, f_i, 1]/eps . [B_j, 1, g_j].
+        if not self._factored:
+            return super()._exponent_blocks(f, g, eps, transpose, into)
+        outer, inner = (g, f) if transpose else (f, g)
         left, right = self._factors[::-1] if transpose else self._factors
-        scaled = np.negative(left)
-        scaled[:, self._ones[transpose]] += shift
-        scaled /= eps
-        n, m = len(left), len(right)
-        buffer = np.empty((min(self.block_size, n), m))
-        for start in range(0, n, self.block_size):
-            stop = min(start + self.block_size, n)
-            yield start, stop, self._product_rows(scaled, right, start, stop, buffer[: stop - start], shift / eps)
+        lhs = np.column_stack([-left, outer, np.ones(len(left))]) / eps
+        rhs = np.column_stack([right, np.ones(len(right)), inner])
+        diagonal = (outer + inner) / eps if self._same_points else None
+        return (
+            (start, stop, self._product_rows(lhs, rhs, start, stop, out, diagonal))
+            for start, stop, out in self._blocks(len(left), len(right), into)
+        )
+
+    def _transport_rows(self, f, g, eps):
+        # <C_i, P_i> = A_i . (P B)_i; B's first column, ones, gives P_i 1.
+        if not self._factored:
+            return super()._transport_rows(f, g, eps)
+        a, b = self._factors
+        pb = np.empty(a.shape)
+        for start, stop, plan in self._plan_blocks(f, g, eps):
+            np.matmul(plan, b, out=pb[start:stop])
+        return np.einsum("ik,ik->i", a, pb), pb[:, 0]
 
     def mean_cost(self) -> float:
         n, m = self.shape
@@ -552,19 +558,6 @@ class PointCloudGeometry(Geometry):
         if self._same_points:
             vals = np.where(i == j, 0.0, vals)
         return float(vals.mean())
-
-    def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
-        _check_axis(axis)
-        eps = self._resolve_eps(eps)
-        n, m = self.shape
-        f = _check_potential(f, n, "f")
-        g = _check_potential(g, m, "g")
-        outer, inner = (f, g) if axis == "rows" else (g, f)
-        out = np.empty(outer.size)
-        for start, stop, cost in self._cost_blocks(axis == "cols"):
-            z = (outer[start:stop, None] + inner[None, :] - cost) / eps
-            out[start:stop] = eps * _lse(z, axis=1)
-        return out
 
 
 class GridGeometry(Geometry):
@@ -657,9 +650,7 @@ class GridGeometry(Geometry):
     def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        total = self.shape[0]
-        f = _check_potential(f, total, "f")
-        g = _check_potential(g, total, "g")
+        f, g = self._check_potentials(f, g)
         # eps*log(K e^{g/eps}) factors into per-axis log-space
         # contractions; the remaining potential enters additively.
         outer, inner = (f, g) if axis == "rows" else (g, f)
@@ -667,6 +658,6 @@ class GridGeometry(Geometry):
         for k, c in enumerate(self.cost_matrices):
             log_kernel = -(c if axis == "rows" else c.T) / eps
             moved = np.moveaxis(t, k, -1)
-            contracted = _lse(moved[..., None, :] + log_kernel, axis=-1)
+            contracted = _lse(moved[..., None, :] + log_kernel, axis=-1, overwrite=True)
             t = np.moveaxis(contracted, -1, k)
         return outer + eps * t.reshape(-1)

@@ -251,7 +251,7 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
         else:
             # Column j adds into column j % rank, in ascending j.
             q0 = np.zeros((n, rank))
-            for start, stop, _, rows in prob.geom._plan_blocks(sk.f, sk.g, sk.eps):
+            for start, stop, rows in prob.geom._plan_blocks(sk.f, sk.g, sk.eps):
                 for j in range(0, m, rank):
                     cols = rows[:, j : j + rank]
                     q0[start:stop, : cols.shape[1]] += cols

@@ -130,14 +130,18 @@ def solve_sinkhorn(
 
     While half the cost range over eps fits in float64's exponent range,
     the sweeps multiply by the kernel exp((c - C)/eps), c the midrange of
-    C, rebuilt when the schedule changes eps: one n x m matrix under
-    ``DEFAULT_DENSE_CAP`` entries, one kernel per axis on grids of any
-    size, and on dense costs and point clouds above the cap a kernel
-    recomputed from the cost blocks, in one pass per sweep, so no n x m
-    array is held beyond a dense cost itself, which is never written.
-    Otherwise, and from the first product outside the normal range (the
-    whole sweep is then redone from the same g), they run in the log
-    domain.
+    C, rebuilt when the schedule changes eps; the range of C is scanned
+    once per geometry. On grids of any size it is one kernel per axis. On
+    dense costs and point clouds it is the exp of the geometry's exponent
+    blocks: one n x m matrix under ``DEFAULT_DENSE_CAP`` entries, written
+    straight from them (for squared-Euclidean and cosine clouds, one
+    matrix product of the cost factors per block), and above the cap the
+    blocks again, in one pass per sweep, so no n x m array is held beyond
+    a dense cost itself, which is never written. Otherwise, and from the
+    first product outside the normal range (the whole sweep is then
+    redone from the same g), they run in the log domain, which reduces
+    the same blocks one at a time and so holds one ``block_size x m``
+    block on every backend but grids, which contract per axis.
 
     Args:
       prob: the problem to solve.
@@ -212,19 +216,14 @@ def transport_matrix(out: SinkhornOutput, prob: LinearProblem) -> Coupling:
     geom = prob.geom
     geom._check_cap(None)
     plan = np.empty(geom.shape)
-    for start, stop, _, rows in geom._plan_blocks(out.f, out.g, out.eps):
-        plan[start:stop] = rows
+    for _ in geom._plan_blocks(out.f, out.g, out.eps, into=plan):
+        pass
     return Coupling(plan)
 
 
 def reg_ot_cost(out: SinkhornOutput, prob: LinearProblem) -> RegOTCost:
     """Primal transport cost <C, P> and dual objective, streamed in row blocks."""
-    n = prob.geom.shape[0]
-    row_cost = np.empty(n)
-    row_mass = np.empty(n)
-    for start, stop, cost, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
-        row_cost[start:stop] = (cost * plan).sum(axis=1)
-        row_mass[start:stop] = plan.sum(axis=1)
+    row_cost, row_mass = prob.geom._transport_rows(out.f, out.g, out.eps)
     dual = _dual_objective(out.f, out.g, prob.a, prob.b, out.eps, row_mass.sum())
     return RegOTCost(float(row_cost.sum()), dual)
 
@@ -255,6 +254,6 @@ def grad_points(out: SinkhornOutput, prob: LinearProblem) -> np.ndarray:
     if not isinstance(geom, PointCloudGeometry) or geom.cost_fn != "sqeucl":
         raise ValueError("grad_points requires a PointCloudGeometry with the sqeucl cost")
     grad = np.empty_like(geom.x)
-    for start, stop, _, plan in geom._plan_blocks(out.f, out.g, out.eps):
+    for start, stop, plan in geom._plan_blocks(out.f, out.g, out.eps):
         grad[start:stop] = 2.0 * (plan.sum(axis=1)[:, None] * geom.x[start:stop] - plan @ geom.y)
     return grad

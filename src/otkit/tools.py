@@ -142,7 +142,7 @@ def _soft_sort_rank(x: np.ndarray, spec: SoftSortSpec, defaults=soft_sort.__kwde
     out = solve_sinkhorn(prob, spec.eps, **{**defaults, **solve_opts})
     n, m = prob.geom.shape
     values, ranks = np.zeros(m), np.empty(n)
-    for start, stop, _, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
+    for start, stop, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
         values += x[start:stop] @ plan
         ranks[start:stop] = plan @ np.arange(m, dtype=float)
     return m * values, n * ranks if m == n else None, out.converged

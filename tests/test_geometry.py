@@ -1,5 +1,7 @@
 """Cost-structure backends: dense, point cloud, separable grid."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -129,10 +131,10 @@ def test_pointcloud_costs_match_the_difference_formula_far_from_the_origin(n, m,
 )
 @pytest.mark.parametrize("eps_scale", [0.1, 0.01])
 def test_streamed_exponent_rows_match_the_shifted_cost(monkeypatch, cost_fn, offset, same, eps_scale):
-    # Above the cap, squared-Euclidean and cosine exponents come from one
-    # product of eps-scaled factors; they must match (shift - C)/eps from
-    # cost_matrix() within 1e-13 of its largest magnitude. A Euclidean
-    # cost takes the cost rows' path.
+    # Above the cap, squared-Euclidean and cosine exponents at f = shift
+    # and g = 0 come from one product of factors augmented with f and g;
+    # they must match (shift - C)/eps from cost_matrix() within 1e-13 of
+    # its largest magnitude. A Euclidean cost takes the cost rows' path.
     monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((30, 3)) + offset
@@ -144,12 +146,144 @@ def test_streamed_exponent_rows_match_the_shifted_cost(monkeypatch, cost_fn, off
     assert factors == (shift, eps)
     for transpose in (False, True):
         expected = (shift - (cost.T if transpose else cost)) / eps
-        rows = np.vstack([r.copy() for _, _, r in geom._exponent_blocks(shift, eps, transpose)])
+        f, g = np.full(len(x), shift), np.zeros(len(y))
+        rows = np.vstack([r.copy() for _, _, r in geom._exponent_blocks(f, g, eps, transpose)])
         npt.assert_allclose(rows, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
         kernel = np.vstack([r.copy() for _, _, r in geom._streamed_blocks(shift, eps, transpose)])
         npt.assert_array_equal(kernel, np.exp(rows))
         if same:
             npt.assert_array_equal(np.diag(kernel), np.full(len(x), np.exp(shift / eps)))
+
+
+@pytest.mark.parametrize(
+    "cost_fn, offset, same",
+    [("sqeucl", 0.0, False), ("sqeucl", 1e3, False), ("sqeucl", 1e3, True), ("cosine", 0.0, False),
+     ("cosine", 0.0, True), ("eucl", 0.0, True), ("dense", 0.0, False)],
+)
+@pytest.mark.parametrize("capped", [False, True])
+def test_exponent_rows_with_potentials_match_the_cost(monkeypatch, cost_fn, offset, same, capped):
+    # Per-row potentials with -inf entries (zero weights): every exponent
+    # block (f_i + g_j - C_ij)/eps must match the one formed from
+    # cost_matrix() within 1e-13 of its largest finite magnitude, be -inf
+    # exactly where f_i or g_j is, and hold no NaN. The same-points
+    # diagonal is (f_i + g_i)/eps exactly, and a dense cost's blocks are
+    # the formula's bitwise. Plans and kernels are their exps, under the
+    # cap and above it.
+    if capped:
+        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((30, 3)) + offset
+    y = x if same else rng.standard_normal((20, 3)) + offset
+    if cost_fn == "dense":
+        geom = DenseGeometry(rng.random((30, 20)))
+        geom.block_size = 7
+    else:
+        geom = PointCloudGeometry(x, y, cost_fn, block_size=7)
+    n, m = geom.shape
+    cost = geom.cost_matrix(max_entries=n * m)
+    eps = 0.01 * geom.mean_cost()
+    f = geom.mean_cost() * rng.standard_normal(n)
+    g = geom.mean_cost() * rng.standard_normal(m)
+    f[[0, 9]] = -np.inf
+    g[[3, 8]] = -np.inf
+    expected = (f[:, None] + g[None, :] - cost) / eps
+    finite = np.isfinite(expected)
+    for transpose in (False, True):
+        want, mask = (expected.T, finite.T) if transpose else (expected, finite)
+        rows = np.vstack([r.copy() for _, _, r in geom._exponent_blocks(f, g, eps, transpose)])
+        assert not np.isnan(rows).any()
+        npt.assert_array_equal(np.isfinite(rows), mask)
+        assert np.all(rows[~mask] == -np.inf)
+        if cost_fn == "dense":
+            npt.assert_array_equal(rows, want)
+        assert np.abs(rows[mask] - want[mask]).max() <= 1e-13 * np.abs(want[mask]).max()
+        if same:
+            npt.assert_array_equal(np.diag(rows), (f + g) / eps)
+    plan = np.vstack([p.copy() for _, _, p in geom._plan_blocks(f, g, eps)])
+    npt.assert_array_equal(plan, np.exp(np.vstack([r.copy() for _, _, r in geom._exponent_blocks(f, g, eps)])))
+    factors, shift, _ = geom._gibbs(0.1 * geom.mean_cost(), None)
+    assert (len(factors) == 2) == capped
+    kernel = np.vstack([k.copy() for _, _, k in geom._kernel_blocks(factors)])
+    exponent = (shift - cost) / (0.1 * geom.mean_cost())
+    npt.assert_allclose(np.log(kernel), exponent, rtol=0, atol=1e-13 * np.abs(exponent).max())
+
+
+@pytest.mark.parametrize("cost_fn", ["sqeucl", "eucl", "cosine", "dense"])
+def test_an_under_cap_kernel_rebuilt_at_a_new_eps_matches_the_cost(cost_fn):
+    # A rebuild reuses the first kernel's buffer and the kept cost range;
+    # it must match exp((c - C)/eps), c the midrange of C, as the first
+    # build does.
+    rng = np.random.default_rng(15)
+    x, y = rng.standard_normal((40, 3)) + 10.0, rng.standard_normal((25, 3)) + 10.0
+    geom = PointCloudGeometry(x, y, cost_fn if cost_fn != "dense" else "sqeucl", block_size=16)
+    cost = geom.cost_matrix()
+    if cost_fn == "dense":
+        geom = DenseGeometry(cost)
+    shift = cost.min() + 0.5 * (cost.max() - cost.min())
+    first = None
+    for scale in (0.5, 0.05, 0.01):
+        eps = scale * geom.mean_cost()
+        gibbs = geom._gibbs(eps, first)
+        (kernel,), c, _ = gibbs
+        assert c == shift and (first is None or kernel is first[0][0])
+        exponent = (shift - cost) / eps
+        npt.assert_allclose(np.log(kernel), exponent, rtol=0, atol=1e-13 * np.abs(exponent).max())
+        first = gibbs
+
+
+def test_an_epsilon_schedule_scans_the_cost_range_once(monkeypatch):
+    # The cost range does not depend on eps: a schedule's kernel rebuilds
+    # take it from the geometry. With a fresh geometry per eps, which scans
+    # again at every build, the solve is the same.
+    rng = np.random.default_rng(14)
+    x, y = rng.random((60, 2)), rng.random((50, 2))
+    calls = []
+    cost_rows = PointCloudGeometry._cost_rows
+
+    def counting(self, start, stop, *args, **kwargs):
+        calls.append((start, stop))
+        return cost_rows(self, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(PointCloudGeometry, "_cost_rows", counting)
+    geom = PointCloudGeometry(x, y, block_size=16)
+    schedule = EpsilonSchedule(0.05 * geom.mean_cost(), init_scale=8.0, decay=0.5)
+    calls.clear()
+    out = solve_sinkhorn(LinearProblem(geom), schedule, threshold=1e-9)
+    assert out.converged and out.iterations > 3
+    assert calls == [(0, 16), (16, 32), (32, 48), (48, 60)]
+    gibbs = PointCloudGeometry._gibbs
+    monkeypatch.setattr(PointCloudGeometry, "_gibbs", lambda self, eps, old: gibbs(PointCloudGeometry(x, y), eps, old))
+    calls.clear()
+    fresh = solve_sinkhorn(LinearProblem(geom), schedule, threshold=1e-9)
+    assert len(calls) == 4  # one one-block scan per eps: 8, 4, 2 and 1 x the target
+    assert (fresh.iterations, fresh.converged) == (out.iterations, out.converged)
+    npt.assert_array_equal(fresh.f, out.f)
+    npt.assert_array_equal(fresh.g, out.g)
+
+
+@pytest.mark.parametrize("cost_fn", ["sqeucl", "cosine", "eucl"])
+@pytest.mark.parametrize("same", [False, True])
+def test_transport_cost_and_gradient_match_the_dense_cost(cost_fn, same):
+    # Factored clouds read <C, P> off P B; zero-weight rows and columns,
+    # whose potentials are -inf, must add 0 and no NaN.
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, 3))
+    y = x if same else rng.standard_normal((30, 3)) + 0.5
+    a, b = rng.random(len(x)), rng.random(len(y))
+    a[[2, 17]], b[[5, 9]] = 0.0, 0.0
+    geom = PointCloudGeometry(x, y, cost_fn, block_size=16)
+    prob = LinearProblem(geom, a / a.sum(), b / b.sum())
+    dense_prob = LinearProblem(DenseGeometry(geom.cost_matrix()), prob.a, prob.b)
+    out = solve_sinkhorn(prob, 0.05 * geom.mean_cost(), threshold=1e-10)
+    assert out.converged and np.isneginf(out.f).sum() == 2 and np.isneginf(out.g).sum() == 2
+    costs = reg_ot_cost(out, prob)
+    assert np.all(np.isfinite(costs))
+    npt.assert_allclose(costs, reg_ot_cost(out, dense_prob), rtol=0, atol=1e-12)
+    if cost_fn == "sqeucl":
+        plan = transport_matrix(out, dense_prob).matrix
+        grad = grad_points(out, prob)
+        assert np.all(np.isfinite(grad))
+        npt.assert_allclose(grad, 2.0 * (plan.sum(axis=1)[:, None] * x - plan @ y), rtol=0, atol=1e-12)
 
 
 def test_cost_matrix_refuses_to_materialize_past_the_cap():
@@ -316,6 +450,48 @@ def test_lse_kernel_allows_minus_infinity_potentials():
     geom = DenseGeometry(np.zeros((2, 2)))
     out = geom.apply_lse_kernel(np.zeros(2), np.array([0.0, -np.inf]), 1.0, "rows")
     npt.assert_allclose(out, 0.0, atol=1e-14)
+
+
+def test_dense_lse_kernel_rows_are_the_whole_matrix_formula_bitwise():
+    # Reduced block by block, a dense "rows" log-sum-exp is the whole-matrix
+    # max-subtracted formula bitwise; "cols" moves by rounding only.
+    rng = np.random.default_rng(17)
+    cost = rng.random((600, 300))
+    geom = DenseGeometry(cost)
+    f, g = rng.standard_normal(600), rng.standard_normal(300)
+    f[4], g[7] = -np.inf, -np.inf
+    eps = 0.02
+    z = (f[:, None] + g[None, :] - cost) / eps
+    for axis in (1, 0):
+        hi = np.max(z, axis=axis, keepdims=True)
+        hi = np.where(np.isfinite(hi), hi, 0.0)
+        with np.errstate(divide="ignore"):
+            expected = eps * (np.log(np.sum(np.exp(z - hi), axis=axis)) + np.squeeze(hi, axis=axis))
+        out = geom.apply_lse_kernel(f, g, eps, "rows" if axis == 1 else "cols")
+        if axis == 1:
+            npt.assert_array_equal(out, expected)
+        else:
+            npt.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
+
+
+def test_dense_lse_kernel_holds_one_block():
+    # At 2,001^2 the log domain reduces one block_size x m exponent block
+    # at a time, in its own buffer: its peak is about that block (4.1 MB),
+    # not the 32 MB cost matrix or several copies of it.
+    rng = np.random.default_rng(18)
+    n = 2001
+    geom = DenseGeometry(rng.random((n, n)))
+    f, g = rng.standard_normal(n), rng.standard_normal(n)
+    block = geom.block_size * n * 8
+    for axis in ("rows", "cols"):
+        tracemalloc.start()
+        try:
+            out = geom.apply_lse_kernel(f, g, 0.05, axis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert block <= peak < 1.1 * block
 
 
 def test_lse_kernel_rejects_nan_potentials():
