@@ -3,7 +3,13 @@
 CSV conventions: comma-separated, no header, '#' starts a comment;
 lines that are empty or hold only whitespace are skipped.
 Writes go through a temp file in the destination directory followed by
-an atomic rename, so readers never observe partial files.
+an atomic rename, so readers never observe partial files; the file has
+the mode ``open`` gives a new one, 0o666 less the umask.
+
+A matrix is written as "%.17g" text, 17 significant digits, which read
+back bitwise for every float64. ``_format_rows`` makes exactly Python's
+"%.17g" bytes with numpy, a block of about 8,000 entries at a time
+(``_csvtext``), instead of formatting each row in Python.
 
 Large CSV matrices are read and written on every usable core: the file
 is split into row ranges, this process handles the first and forked
@@ -237,9 +243,19 @@ def read_gmm(path: str) -> GaussianMixture:
     return GaussianMixture(np.asarray(raw["weights"], dtype=float), components)
 
 
+def _create_temp(directory: str) -> tuple[int, str]:
+    """A new file ".tmp-<random hex>" in ``directory``, opened for writing,
+    with the mode ``open`` gives a new file: 0o666 less the umask."""
+    while True:
+        path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            continue
+
+
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp_path = _create_temp(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -258,10 +274,15 @@ def write_json_atomic(path: str, payload: dict) -> None:
 
 
 def _format_rows(rows: np.ndarray) -> Iterator[str]:
-    """The CSV lines of ``rows``, formatted and yielded one at a time: 17
-    significant digits read back bitwise for every float64."""
-    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return (row_format % tuple(row.tolist()) for row in rows)
+    """The CSV text of ``rows``, "%.17g" of every entry, yielded a block of
+    entries at a time: 17 significant digits, which read back bitwise for
+    every float64."""
+    # Imported on first use: importing otkit, and a run that writes no
+    # matrix, then skip compiling and loading it, some 5 ms where no
+    # bytecode is cached.
+    from . import _csvtext
+
+    return _csvtext.format_rows(rows)
 
 
 def write_matrix_atomic(path: str, matrix: np.ndarray) -> None:

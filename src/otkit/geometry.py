@@ -195,7 +195,10 @@ class Geometry:
         """
         _check_axis(axis)
         eps = self._resolve_eps(eps)
-        f, g = self._check_potentials(f, g)
+        return self._lse_kernel(*self._check_potentials(f, g), eps, axis)
+
+    def _lse_kernel(self, f: np.ndarray, g: np.ndarray, eps: float, axis: str) -> np.ndarray:
+        """``apply_lse_kernel`` on potentials, eps and axis already checked."""
         out = np.empty(len(f) if axis == "rows" else len(g))
         # Each exponent block is reduced in its own buffer.
         for start, stop, rows in self._exponent_blocks(f, g, eps, axis == "cols"):
@@ -361,9 +364,10 @@ class _KernelStep:
     kernel of the cost shifted by its midrange (``_gibbs``), built again,
     from the exponent blocks and the kept cost range, whenever eps
     changes. When the geometry declines, and from the first product
-    outside float64's normal range on, it calls ``apply_lse_kernel``, on
-    the same blocks, and raises ``DivergedError`` at sweep t on a
-    non-finite result. Callers run it under ``np.errstate(all="ignore")``.
+    outside float64's normal range on, it runs ``_lse_kernel``, the
+    unchecked part of ``apply_lse_kernel``, on the same blocks, and raises
+    ``DivergedError`` at sweep t on a non-finite result. Callers run it
+    under ``np.errstate(all="ignore")``.
     """
 
     def __init__(self, geom: Geometry):
@@ -398,7 +402,8 @@ class _KernelStep:
     def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
         f, g = (zeros, p) if axis == "rows" else (p, zeros)
-        r = self.geom.apply_lse_kernel(f, g, eps, axis)
+        # The step's own potentials and eps need no checks.
+        r = self.geom._lse_kernel(f, g, eps, axis)
         if not np.isfinite(r).all():
             raise DivergedError("non-finite potentials; eps is likely too small for the cost scale", iteration=t)
         return r
@@ -647,10 +652,7 @@ class GridGeometry(Geometry):
         v = _check_vector(v, self.shape[0], "v")
         return self._contract([np.exp(-c / eps) for c in self.cost_matrices], v, axis)
 
-    def apply_lse_kernel(self, f, g, eps=None, axis="rows"):
-        _check_axis(axis)
-        eps = self._resolve_eps(eps)
-        f, g = self._check_potentials(f, g)
+    def _lse_kernel(self, f, g, eps, axis):
         # eps*log(K e^{g/eps}) factors into per-axis log-space
         # contractions; the remaining potential enters additively.
         outer, inner = (f, g) if axis == "rows" else (g, f)

@@ -7,16 +7,18 @@ from otkit import DenseGeometry, Geometry, GridGeometry, PointCloudGeometry, low
 
 @pytest.fixture
 def lse_calls(monkeypatch) -> list:
-    """Records every apply_lse_kernel call on the three backends."""
+    """Records every log-domain kernel application on the three backends:
+    each ``_lse_kernel`` call, which ``apply_lse_kernel`` makes after its
+    checks and a solver's log-domain step makes directly."""
     calls = []
     for cls in (DenseGeometry, PointCloudGeometry, GridGeometry):
-        original = cls.apply_lse_kernel
+        original = cls._lse_kernel
 
         def spy(self, *args, _original=original, **kwargs):
             calls.append(type(self).__name__)
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "apply_lse_kernel", spy)
+        monkeypatch.setattr(cls, "_lse_kernel", spy)
     return calls
 
 

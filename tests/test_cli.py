@@ -4,8 +4,10 @@ import gzip
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +35,7 @@ from otkit import (
     transport_matrix,
 )
 from otkit.cli import _build_parser, main
-from otkit.fileio import read_gmm, read_matrix, read_vector, write_matrix_atomic
+from otkit.fileio import read_gmm, read_matrix, read_vector, write_json_atomic, write_matrix_atomic
 
 
 def write_csv(path, rows):
@@ -878,6 +880,80 @@ def test_split_writes_the_one_process_bytes(tmp_path, monkeypatch, forks, parts,
     back = read_matrix(str(tmp_path / "split.csv"))
     assert back.tobytes() == matrix.tobytes()
     assert_nothing_left(tmp_path, {"one.csv", "split.csv"})
+
+
+def _percent_17g(matrix):
+    """The CSV text of ``matrix`` from Python's own "%.17g": the reference."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in matrix.tolist())
+
+
+_EDGE_VALUES = np.array(
+    [0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan,
+     1e-5, 9.9999999999999991e-05, 1e-4, 1e16, 1e17, 99999999999999984.0, 2.0**53, 2.0**53 + 2, 2.0**63, 1e22,
+     1e23, 0.1, 1.0 / 3.0, 12.5]
+    # Exact ties at 17 digits (18 significant digits ending in 5), the
+    # 17th digit even and odd.
+    + [2.0**-25, 3 * 2.0**-25, 9 * 2.0**-23, 11 * 2.0**-23]
+)
+_EDGES = np.concatenate([_EDGE_VALUES, -_EDGE_VALUES])
+_POWERS = np.array([float(f"1e{k}") for k in range(-310, 309)])
+_POWERS = np.concatenate([_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf)])
+_RANDOM_BITS = np.random.default_rng(5).integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+FORMAT_MATRICES = {
+    # Rows of 250 entries: blocks of whole rows, the last one short.
+    "random-bits": _RANDOM_BITS.reshape(240, 250),
+    "edges": _EDGES.reshape(-1, 4),
+    "powers-of-ten": _POWERS.reshape(-1, 3),
+    # Rows longer than a block of the formatter.
+    "wide-rows": _RANDOM_BITS[:20_000].reshape(2, 10_000),
+    "mixed-rows": np.random.default_rng(6).permutation(
+        np.concatenate([_EDGES, _POWERS, _RANDOM_BITS[:2000], np.negative(np.nan)[None]])
+    ).reshape(-1, 10),
+    "single-column": np.concatenate([_EDGES, _POWERS])[:, None],
+    "no-columns": np.zeros((3, 0)),
+}
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("name", list(FORMAT_MATRICES))
+def test_matrix_text_is_pythons_percent_17g(tmp_path, monkeypatch, parts, name):
+    matrix = FORMAT_MATRICES[name]
+    path = tmp_path / "m.csv"
+    if parts == 1:
+        one_process(monkeypatch, write_matrix_atomic, str(path), matrix)
+    else:
+        split_csv(monkeypatch, parts)
+        write_matrix_atomic(str(path), matrix)
+    assert path.read_bytes() == _percent_17g(matrix).encode()
+
+
+def test_a_one_process_write_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch):
+    peaks = []
+    for rows in (500, 2000):
+        matrix = np.random.default_rng(rows).random((rows, 1000))
+        tracemalloc.start()
+        try:
+            one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "m.csv"), matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_atomic_writes_give_the_mode_of_open(tmp_path, monkeypatch, umask, mode, parts):
+    split_csv(monkeypatch, parts)
+    old = os.umask(umask)
+    try:
+        write_json_atomic(str(tmp_path / "out.json"), {"a": 1})
+        write_matrix_atomic(str(tmp_path / "m.csv"), np.arange(12.0).reshape(6, 2))
+    finally:
+        os.umask(old)
+    for name in ("out.json", "m.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+    assert_nothing_left(tmp_path, {"out.json", "m.csv"})
 
 
 def _lines(rows, newline="\n"):
