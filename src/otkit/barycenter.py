@@ -90,29 +90,24 @@ def solve_barycenter(
     geom = bp.geom
     eps = geom._resolve_eps(eps)
     k, n = bp.histograms.shape
-    step = _KernelStep(geom)
-    g = np.zeros((k, n))
-    back = np.zeros((k, n))  # eps * log(K^T u_k) per histogram
     converged = False
     t = 0
     with np.errstate(all="ignore"):
-        log_hists = np.log(bp.histograms)
+        # One iterate per histogram, stacked, so each sweep makes the
+        # products of all of them in one pass over the kernel.
+        step = _KernelStep(geom, bp.histograms, np.zeros((k, n)))
         for t in range(1, max_iters + 1):
-            for i in range(k):
-                _, back[i] = step.sweep(g[i], eps, bp.histograms[i], log_hists[i], t)
-            log_p = (bp.weights @ back) / eps
+            step.sweep(eps, t)
+            log_p = bp.weights @ step.col_logs()
             p = np.exp(log_p)
             if not np.isfinite(p).all():
                 raise DivergedError(
                     "non-finite barycenter iterates; eps is likely too small for the cost scale",
                     iteration=t,
                 )
-            err = 0.0
-            for i in range(k):
-                # Marginal of coupling i before its g update: g + the "cols" step of f.
-                marginal = np.exp((g[i] + back[i]) / eps)
-                err = max(err, float(np.abs(marginal - p).sum()))
-                g[i] = eps * log_p - back[i]
+            # Each coupling's marginal on the barycenter side, before its update.
+            err = float(np.abs(step.col_marginal() - p).sum(axis=1).max())
+            step.set_cols(p, log_p)
             if err <= threshold:
                 converged = True
                 break

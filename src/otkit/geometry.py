@@ -6,9 +6,12 @@ Solvers reach costs only through the geometry: it materializes the
 matrix (``cost_matrix``), applies the Gibbs kernel exp(-C/eps) to a
 vector (``apply_kernel``) or in the log domain (``apply_lse_kernel``),
 and builds a solve's kernel (``_gibbs``) and applies it (``_contract``,
-``_sweep``) for ``_KernelStep``, which runs the Sinkhorn and barycenter
-sweeps. :class:`DenseGeometry` wraps a cost matrix, read in place and
-never written; :class:`PointCloudGeometry` factors its cost once as
+``_sweep``) for ``_KernelStep``, which holds a solve's iterate and runs
+the Sinkhorn and barycenter sweeps: on a kernel, on the scalings
+u = exp((f - c)/eps) and v = exp(g/eps), forming the potentials f and g
+only at checks, eps changes, the end and a fall to the log domain.
+:class:`DenseGeometry` wraps a cost matrix, read in place and never
+written; :class:`PointCloudGeometry` factors its cost once as
 C = A B^T; :class:`GridGeometry` contracts costs that separate over the
 axes of a grid one axis at a time, allocating nothing N x N.
 
@@ -327,21 +330,24 @@ class Geometry:
             np.matmul(kernel, v, out=out[start:stop])
         return out
 
-    def _sweep(self, factors, v: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(K v, K^T (a / K v))``, K from ``_gibbs``: the two products of
-        one Sinkhorn sweep in scaling form, from one pass over the kernel's
-        row blocks."""
-        kv = np.empty(self.shape[0])
+    def _sweep(self, factors, v: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """u = a / K v, with K v written into ``out[..., :n]`` and K^T u into
+        ``out[..., n:]``, K from ``_gibbs``: the two products of one Sinkhorn
+        sweep in scaling form, from one pass over the kernel's row blocks.
+        ``v`` and ``a`` may stack problems along a leading axis."""
+        n = self.shape[0]
+        kv, ktu = out[..., :n], out[..., n:]
+        u = np.empty_like(kv)
         for start, stop, kernel in self._kernel_blocks(factors):
-            kv_rows = np.matmul(kernel, v, out=kv[start:stop])
-            term = (a[start:stop] / kv_rows) @ kernel
+            kv_rows = np.matmul(v, kernel.T, out=kv[..., start:stop])
+            u_rows = np.divide(a[..., start:stop], kv_rows, out=u[..., start:stop])
             # The first block's term starts the sum, bitwise 0 + term: no
             # term is -0.
             if start:
-                ktu += term
+                ktu += u_rows @ kernel
             else:
-                ktu = term
-        return kv, ktu
+                np.matmul(u_rows, kernel, out=ktu)
+        return u
 
     def _resolve_eps(self, eps: float | None) -> float:
         eps = float(self.epsilon_default if eps is None else eps)
@@ -359,51 +365,111 @@ class Geometry:
 
 
 class _KernelStep:
-    """A solve's Sinkhorn sweeps (``sweep``), each two products
-    ``eps * log(K exp(p / eps))``, K = exp(-C/eps), on the geometry's
-    kernel of the cost shifted by its midrange (``_gibbs``), built again,
-    from the exponent blocks and the kept cost range, whenever eps
-    changes. When the geometry declines, and from the first product
-    outside float64's normal range on, it runs ``_lse_kernel``, the
-    unchecked part of ``apply_lse_kernel``, on the same blocks, and raises
-    ``DivergedError`` at sweep t on a non-finite result. Callers run it
-    under ``np.errstate(all="ignore")``.
+    """A solve's iterate and its Sinkhorn sweeps (``sweep``), each two
+    products K e^{g/eps} and K^T e^{f/eps}, K = exp(-C/eps).
+
+    On the geometry's kernel of the cost shifted by its midrange c
+    (``_gibbs``), built again whenever eps changes, the iterate is the
+    scalings u = e^{(f - c)/eps} and v = e^{g/eps}. A sweep is
+    ``_sweep``'s two products in one buffer, one min and one max over it,
+    u = a / K v and v = b / K^T u. The potentials f = eps log u + c and
+    g = eps log v are formed (``potentials``) only at a check, at an eps
+    change, at the end, and when the step leaves the kernel: when the
+    geometry declines, and from the first product outside float64's
+    normal range on. The whole sweep then runs again from those
+    potentials in the log domain, on ``_lse_kernel``, and raises
+    ``DivergedError`` at sweep t on a non-finite result.
+
+    ``a`` and g may stack problems on a leading axis, which then share
+    each pass over the kernel. Without ``b`` the caller updates the
+    columns itself, from ``col_logs`` and ``col_marginal``, through
+    ``set_cols``. Callers run it under ``np.errstate(all="ignore")``.
     """
 
-    def __init__(self, geom: Geometry):
+    def __init__(self, geom: Geometry, a: np.ndarray, g: np.ndarray, b: np.ndarray | None = None):
+        self.geom, self.a, self.b = geom, a, b
+        self.log_a, self.log_b = np.log(a), None if b is None else np.log(b)
         # gibbs is () before the first build and None in the log domain.
-        self.geom, self.gibbs, self.eps = geom, (), None
+        self.gibbs, self.eps = (), None
+        # Potentials, and on a kernel the scalings; u and f stay None
+        # until the first sweep makes them.
+        self.f, self.g, self.u, self.v = None, g, None, None
+        self.back = None  # eps log(K^T e^{f/eps}) of a log-domain sweep
+        self.n = geom.shape[0]
+        self.products = np.empty(a.shape[:-1] + (self.n + geom.shape[1],))
 
-    def sweep(self, g: np.ndarray, eps: float, a: np.ndarray, log_a: np.ndarray, t: int):
-        """``(f, eps log(K^T e^{f/eps}))`` for f = eps log a - eps log(K e^{g/eps}).
-
-        Both products come from one ``_sweep``: a over the first product
-        is exp((f - c)/eps), the second product's input. When either
-        leaves the normal range the whole sweep runs again in the log
-        domain, from the same g.
-        """
-        if self._on_kernel(eps):
-            factors, shift, floor = self.gibbs
-            kv, ktu = self.geom._sweep(factors, np.exp(g / eps), a)
+    def sweep(self, eps: float, t: int, check: bool = False) -> np.ndarray | None:
+        """Makes f = eps log a - eps log(K e^{g/eps}), then, given b,
+        g = eps log b - eps log(K^T e^{f/eps}). With ``check``, returns the
+        row marginal of the iterate before the sweep, which eps must not
+        have changed: u times the first product."""
+        if eps != self.eps:
+            self._set_eps(eps)
+        if self.gibbs:
+            factors, _, floor = self.gibbs
+            out = self.products
+            u = self.geom._sweep(factors, self.v, self.a, out)
             # Both products lie in [floor, inf), NaN-free.
-            if kv.min() >= floor and ktu.min() >= floor and kv.max() < np.inf and ktu.max() < np.inf:
-                return eps * log_a - (eps * np.log(kv) - shift), eps * np.log(ktu)
-            logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
-            self.gibbs = None
-        f = eps * log_a - self._lse(g, eps, "rows", t)
-        return f, self._lse(f, eps, "cols", t)
+            if out.min() >= floor and out.max() < np.inf:
+                row = self.u * out[..., : self.n] if check else None
+                self.u = u
+            else:
+                logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
+                self.f, self.g = self.potentials()
+                self.gibbs = None
+        if not self.gibbs:
+            f = eps * self.log_a - self._lse(self.g, eps, "rows", t)
+            # f is -inf where a is 0.
+            row = np.where(self.a > 0, self.a * np.exp((self.f - f) / eps), 0.0) if check else None
+            self.f, self.back = f, self._lse(f, eps, "cols", t)
+        if self.b is not None:
+            self.set_cols(self.b, self.log_b)
+        return row
 
-    def _on_kernel(self, eps: float) -> bool:
-        """Whether the step runs on a kernel at eps, built again when eps changed."""
-        if self.gibbs is not None and eps != self.eps:
-            self.gibbs, self.eps = self.geom._gibbs(eps, self.gibbs), eps
-        return self.gibbs is not None
+    def potentials(self) -> tuple:
+        """``(f, g)`` of the iterate; f is None before the first sweep."""
+        if not self.gibbs:
+            return self.f, self.g
+        eps, shift = self.eps, self.gibbs[1]
+        return None if self.u is None else eps * np.log(self.u) + shift, eps * np.log(self.v)
+
+    def col_products(self) -> np.ndarray:
+        """The last sweep's second product K^T (a / K v), on a kernel."""
+        return self.products[..., self.n :]
+
+    def col_logs(self) -> np.ndarray:
+        """log(K^T e^{f/eps}) of the last sweep."""
+        return np.log(self.col_products()) if self.gibbs else self.back / self.eps
+
+    def col_marginal(self) -> np.ndarray:
+        """Column marginal of the last sweep's f with the g before it."""
+        return self.v * self.col_products() if self.gibbs else np.exp((self.g + self.back) / self.eps)
+
+    def set_cols(self, b: np.ndarray, log_b: np.ndarray) -> None:
+        """g = eps log b - eps log(K^T e^{f/eps}), from the last sweep."""
+        if self.gibbs:
+            self.v = b / self.col_products()
+        else:
+            self.g = self.eps * log_b - self.back
+
+    def _set_eps(self, eps: float) -> None:
+        """Rebuilds the kernel at eps, and the scalings from the potentials."""
+        if self.gibbs:
+            self.f, self.g = self.potentials()
+        if self.gibbs is not None:
+            self.gibbs = self.geom._gibbs(eps, self.gibbs)
+        self.eps = eps
+        if self.gibbs:
+            self.v = np.exp(self.g / eps)
+            self.u = None if self.f is None else np.exp((self.f - self.gibbs[1]) / eps)
 
     def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])
-        f, g = (zeros, p) if axis == "rows" else (p, zeros)
         # The step's own potentials and eps need no checks.
-        r = self.geom._lse_kernel(f, g, eps, axis)
+        r = np.array([
+            self.geom._lse_kernel(*((zeros, q) if axis == "rows" else (q, zeros)), eps, axis)
+            for q in p.reshape(-1, p.shape[-1])
+        ]).reshape(p.shape[:-1] + zeros.shape)
         if not np.isfinite(r).all():
             raise DivergedError("non-finite potentials; eps is likely too small for the cost scale", iteration=t)
         return r
@@ -637,14 +703,19 @@ class GridGeometry(Geometry):
         return factors, sum(mid), _TINY * np.exp(sum(half) / eps)
 
     def _contract(self, factors, v, axis):
-        t = v.reshape(self.grid_shape)
+        # Leading axes of v stack problems; grid axis k sits after them.
+        lead = v.ndim - 1
+        t = v.reshape(v.shape[:lead] + self.grid_shape)
         for k, kernel in enumerate(factors):
-            t = np.moveaxis(np.tensordot(kernel if axis == "rows" else kernel.T, t, axes=(1, k)), 0, k)
-        return t.reshape(-1)
+            t = np.moveaxis(np.tensordot(kernel if axis == "rows" else kernel.T, t, axes=(1, lead + k)), 0, lead + k)
+        return t.reshape(v.shape)
 
-    def _sweep(self, factors, v, a):
-        kv = self._contract(factors, v, "rows")
-        return kv, self._contract(factors, a / kv, "cols")
+    def _sweep(self, factors, v, a, out):
+        n = self.shape[0]
+        out[..., :n] = self._contract(factors, v, "rows")
+        u = a / out[..., :n]
+        out[..., n:] = self._contract(factors, u, "cols")
+        return u
 
     def apply_kernel(self, v, eps=None, axis="rows"):
         _check_axis(axis)

@@ -3,12 +3,16 @@
 Solves ``min_{P in U(a,b)} <C, P> + eps <P, log P - 1>`` by alternating
 exact maximization of the dual over the potentials (f, g):
 f = eps log a - eps log(K e^{g/eps}), then g likewise against b. Each
-such sweep goes through the geometry's kernel step: a kernel built once
-per eps (per-axis on grids, recomputed from cost blocks on dense costs
-and point clouds above ``DEFAULT_DENSE_CAP``, one pass per sweep), else
-the log domain, which keeps very small eps usable. The coupling is only
-materialized on demand (``transport_matrix``), while the cost and
-gradient reductions stream it in row blocks.
+such sweep goes through the geometry's kernel step, which owns the
+iterate: on a kernel built once per eps (per-axis on grids, recomputed
+from cost blocks on dense costs and point clouds above
+``DEFAULT_DENSE_CAP``, one pass per sweep) it holds the scalings
+u = e^{(f - c)/eps} and v = e^{g/eps}, c the cost's midrange, and a sweep
+is u = a / K v, v = b / K^T u, with no exp or log; the potentials are
+formed only at a convergence check, an eps change, the end of the solve
+and a fall to the log domain, which keeps very small eps usable. The
+coupling is only materialized on demand (``transport_matrix``), while
+the cost and gradient reductions stream it in row blocks.
 """
 
 from __future__ import annotations
@@ -137,11 +141,17 @@ def solve_sinkhorn(
     straight from them (for squared-Euclidean and cosine clouds, one
     matrix product of the cost factors per block), and above the cap the
     blocks again, in one pass per sweep, so no n x m array is held beyond
-    a dense cost itself, which is never written. Otherwise, and from the
-    first product outside the normal range (the whole sweep is then
-    redone from the same g), they run in the log domain, which reduces
-    the same blocks one at a time and so holds one ``block_size x m``
-    block on every backend but grids, which contract per axis.
+    a dense cost itself, which is never written. On a kernel the sweeps
+    run on the scalings u = exp((f - c)/eps) and v = exp(g/eps): the two
+    products, one min and one max over them, u = a / K v and
+    v = b / K^T u. The potentials f = eps log u + c and g = eps log v are
+    formed only at a check, at an eps change, at the end, and when the
+    solve leaves the kernel: when it is declined, and from the first
+    product outside float64's normal range, whose whole sweep is redone
+    from those potentials. From there on the sweeps run in the log
+    domain, which reduces the same blocks one at a time and so holds one
+    ``block_size x m`` block on every backend but grids, which contract
+    per axis.
 
     Args:
       prob: the problem to solve.
@@ -173,31 +183,33 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
     geom = prob.geom
     schedule = _resolve_schedule(geom, eps)
     target = schedule.target
-    g = np.zeros(geom.shape[1]) if g_init is None else np.asarray(g_init, dtype=float).copy()
-    step = _KernelStep(geom)
+    g = np.zeros(geom.shape[1]) if g_init is None else np.asarray(g_init, dtype=float)
     errors: list[float] = []
     duals: list[float] = []
     converged = checking = False
     t = 0
     with np.errstate(all="ignore"):
-        log_a, log_b = np.log(prob.a), np.log(prob.b)
+        step = _KernelStep(geom, prob.a, g, prob.b)
         while t < max_iters or checking:
             e = schedule.at(t)
-            f_next, back = step.sweep(g, e, prob.a, log_a, t + 1)
             if checking:
-                # f_next = eps log a - eps log(K e^{g/eps}), so the row marginal
-                # of (f, g) is a e^{(f - f_next)/eps}; f is -inf where a is 0.
-                row = np.where(prob.a > 0, prob.a * np.exp((f - f_next) / e), 0.0)
+                # The row marginal of (f, g) comes from the next sweep's
+                # first product.
+                f, g = step.potentials()
+                row = step.sweep(e, t + 1, check=True)
                 err = float(np.abs(row - prob.a).sum())
                 errors.append(err)
                 duals.append(_dual_objective(f, g, prob.a, prob.b, e, row.sum()))
                 converged = err <= threshold
                 if converged or t == max_iters:
                     break
+            else:
+                step.sweep(e, t + 1)
             t += 1
-            f, g = f_next, e * log_b - back
             # While the schedule warms up, errors are not comparable yet.
             checking = (t % inner_iters == 0 or t == max_iters) and e <= target
+        if not checking:
+            f, g = step.potentials()
     if not converged:
         logger.info("sinkhorn: no convergence after %d iterations (last error %s)", t, errors[-1] if errors else None)
     return SinkhornOutput(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.geometry
+import otkit.quadratic
 import otkit.sinkhorn
 from otkit import (
     DenseGeometry,
@@ -400,9 +401,18 @@ def fast_path_cases():
     geom = DenseGeometry(rng.normal(size=(25, 35)))
     geom.block_size = 16
     cases["streamed-dense-negative"] = (LinearProblem(geom), 0.2)
+    # Solves so small that call overhead is all their time, with zero
+    # weights on both sides of the 3 x 2 one.
+    rng = np.random.default_rng(29)
+    one, row = PointCloudGeometry(x[:1], y[:1]), PointCloudGeometry(x[:1], y[:5])
+    cases["tiny-1x1"] = (LinearProblem(one), 0.1 * one.mean_cost())
+    cases["tiny-1x5"] = (LinearProblem(row, None, sparse_weights(rng, 5)), 0.05 * row.mean_cost())
+    dense = DenseGeometry(rng.random((3, 2)))
+    cases["tiny-3x2-zero-weights"] = (LinearProblem(dense, np.array([0.3, 0.0, 0.7]), np.array([0.0, 1.0])), 0.05)
     return cases
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(fast_path_cases()))
 def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls, log_domain):
     prob, eps = fast_path_cases()[name]
@@ -415,6 +425,11 @@ def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls, log
     log_domain()
     ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert len(calls) > 0
+    assert_same_solve(fast, ref, prob)
+
+
+def assert_same_solve(fast, ref, prob):
+    """A kernel-path solve against its log-domain reference."""
     assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)
     shift, ref_shift = fast.f[prob.a > 0].mean(), ref.f[prob.a > 0].mean()
     assert_potentials_close(fast.f - shift, ref.f - ref_shift, prob.a)
@@ -422,6 +437,55 @@ def test_kernel_scaling_matches_the_log_domain(name, monkeypatch, lse_calls, log
     npt.assert_allclose(fast.errors, ref.errors, rtol=0, atol=1e-12)
     # The last error is the returned pair's, zero-weight rows included.
     assert abs(fast.errors[-1] - row_error(fast, prob)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_solve_warm_started_from_a_gw_inner_g_matches_the_log_domain(monkeypatch, lse_calls, log_domain):
+    # The last inner solve of a GW run, with the g its predecessor left,
+    # solved again from that g on scalings and in the log domain.
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(10, 2))
+    y = x[rng.permutation(10)] @ np.array([[0.0, -1.0], [1.0, 0.0]])
+    inner = []
+    original = otkit.quadratic._sinkhorn_iterations
+
+    def record(prob, eps, *args):
+        inner.append((prob, eps, args))
+        return original(prob, eps, *args)
+
+    monkeypatch.setattr(otkit.quadratic, "_sinkhorn_iterations", record)
+    solve_gw(QuadraticProblem(PointCloudGeometry(x, x), PointCloudGeometry(y, y)), eps_rel=0.05)
+    assert len(inner) >= 2
+    prob, eps, (threshold, max_iters, inner_iters, g_prev) = inner[-1]
+    assert g_prev is not None and np.all(np.isfinite(g_prev))
+    lse_calls.clear()
+    fast = original(prob, eps, threshold, max_iters, inner_iters, g_prev)
+    assert fast.converged and lse_calls == []
+    log_domain()
+    ref = original(prob, eps, threshold, max_iters, inner_iters, g_prev)
+    assert len(lse_calls) > 0
+    assert_same_solve(fast, ref, prob)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_schedule_crossing_the_kernel_limit_continues_in_the_log_domain(lse_calls, log_domain):
+    # eps falls from 100 times the target, where half the cost range over
+    # eps is far inside the kernel limit, to the target, where it is past
+    # it: the first sweeps run on scalings, the rest in the log domain.
+    rng = np.random.default_rng(31)
+    geom = PointCloudGeometry(rng.normal(size=(6, 2)), rng.normal(size=(4, 2)))
+    prob = LinearProblem(geom, sparse_weights(rng, 6), None)
+    lo, hi = geom._cost_range()
+    target = 0.5 * (hi - lo) / (3.0 * otkit.geometry._KERNEL_EXPONENT_LIMIT)
+    schedule = EpsilonSchedule(target, init_scale=100.0, decay=0.7)
+    fast = solve_sinkhorn(prob, schedule, threshold=1e-9, max_iters=5000)
+    on_kernel = 2 * (fast.iterations + 1) - len(lse_calls)
+    assert fast.converged and 0 < on_kernel < 2 * fast.iterations
+    log_domain()
+    lse_calls.clear()
+    ref = solve_sinkhorn(prob, schedule, threshold=1e-9, max_iters=5000)
+    assert len(lse_calls) == 2 * (ref.iterations + 1)
+    assert_same_solve(fast, ref, prob)
 
 
 def row_error(out, prob):
@@ -460,6 +524,16 @@ def test_gw_on_an_80_point_rotated_copy_stays_on_the_kernel(lse_calls):
 
 
 def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain):
+    assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, 0.0)
+
+
+def test_kernel_overflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain):
+    # The range check's max: a kernel row of float64's largest value makes
+    # the first product inf.
+    assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, np.finfo(float).max)
+
+
+def assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, entry):
     rng = np.random.default_rng(23)
     geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
     prob = LinearProblem(geom)
@@ -468,14 +542,14 @@ def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_c
     original = otkit.geometry.Geometry._gibbs
     builds = []
 
-    def underflowing(self, e, old):
+    def faulty(self, e, old):
         gibbs = original(self, e, old)
         builds.append(e)
         if len(builds) == 3:
-            gibbs[0][0][0] = 0.0  # row 0 underflows once eps reaches its target
+            gibbs[0][0][0] = entry  # row 0 leaves the range once eps reaches its target
         return gibbs
 
-    monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", underflowing)
+    monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", faulty)
     calls = lse_calls
     out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert builds == [4 * target, 2 * target, target]
@@ -521,17 +595,18 @@ def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypat
 
 
 def counted_sweeps(monkeypatch) -> list:
-    """Lets Sinkhorn reach its kernel step only through ``sweep``, and
-    records each call."""
+    """Makes Sinkhorn's kernel step record each ``sweep`` and each forming
+    of the potentials (``potentials``), in order."""
     calls = []
 
-    class Counting:
-        def __init__(self, geom):
-            self.step = otkit.geometry._KernelStep(geom)
-
-        def sweep(self, *args):
+    class Counting(otkit.geometry._KernelStep):
+        def sweep(self, *args, **kwargs):
             calls.append("sweep")
-            return self.step.sweep(*args)
+            return super().sweep(*args, **kwargs)
+
+        def potentials(self):
+            calls.append("potentials")
+            return super().potentials()
 
     monkeypatch.setattr(otkit.sinkhorn, "_KernelStep", Counting)
     return calls
@@ -541,7 +616,8 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
     # A check reads the next sweep's first product, so a solve returned
     # after T sweeps makes T + 1 and no other product: on the kernel, one
     # _sweep each, which makes both products itself; in the log domain,
-    # two log-sum-exps.
+    # two log-sum-exps. The potentials are formed once per check, just
+    # before its sweep, and not at the end of a converged solve.
     calls = counted_sweeps(monkeypatch)
     products = []
     for name in ("_sweep", "_contract"):
@@ -553,7 +629,7 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
 
         monkeypatch.setattr(otkit.geometry.Geometry, name, counting)
     prob, eps = fast_path_cases()["cloud-sqeucl"]
-    assert not callable(otkit.geometry._KernelStep(prob.geom))
+    assert not callable(otkit.geometry._KernelStep(prob.geom, prob.a, np.zeros(prob.geom.shape[1]), prob.b))
     for force, logged in ((lambda: None, False), (log_domain, True)):
         force()
         calls.clear()
@@ -562,7 +638,9 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
         out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000, inner_iters=10)
         assert out.converged and out.iterations >= 30 and out.iterations % 10 == 0
         sweeps = out.iterations + 1
-        assert calls == ["sweep"] * sweeps
+        checks = ["sweep"] * 9 + ["potentials", "sweep"]
+        assert calls == ["sweep"] + checks * (out.iterations // 10)
+        assert calls.count("sweep") == sweeps and len(out.errors) == out.iterations // 10
         assert products == ([] if logged else ["_sweep"] * sweeps)
         assert lse_calls == (["PointCloudGeometry"] * 2 * sweeps if logged else [])
 
@@ -577,13 +655,15 @@ def test_stops_at_max_iters_check_the_returned_pair_unless_warming_up(monkeypatc
     out = solve_sinkhorn(prob, target, threshold=1e-12, max_iters=37, inner_iters=10)
     assert (out.iterations, out.converged, len(out.errors), len(out.dual_trace)) == (37, False, 4, 4)
     assert abs(out.errors[-1] - row_error(out, prob)) <= 1e-12
-    assert len(calls) == 38
+    assert calls.count("sweep") == 38 and calls.count("potentials") == 4
     # A schedule still above its target at max_iters checks nothing, so
-    # it makes no sweep beyond the cap.
+    # it makes no sweep beyond the cap. Its potentials are formed at each
+    # new eps, from the second sweep on, and at the end.
     calls.clear()
     out = solve_sinkhorn(prob, EpsilonSchedule(target, init_scale=50.0, decay=0.9), max_iters=20, inner_iters=10)
     assert (out.iterations, out.converged, len(out.errors), len(out.dual_trace)) == (20, False, 0, 0)
-    assert len(calls) == 20
+    assert calls.count("sweep") == 20
+    assert calls == ["sweep"] + ["sweep", "potentials"] * 19 + ["potentials"]
 
 
 @pytest.mark.parametrize("kind", ["cloud", "dense"])

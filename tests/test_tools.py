@@ -18,6 +18,7 @@ from otkit import (
     soft_sort,
     sort_transport,
 )
+from otkit.tools import _pairwise_bures
 
 FIGURE_ARRAY = np.array([1.0, 5.0, 4.0, 8.0, 12.0])
 
@@ -221,6 +222,49 @@ def test_bures_is_symmetric_and_nonnegative(dim, seed):
     d12 = bures_w2(g1, g2)
     assert d12 >= 0.0
     assert abs(d12 - bures_w2(g2, g1)) <= 1e-8
+
+
+def per_pair_bures(g1, g2):
+    """The per-pair formula, with one pair of eigendecompositions per call."""
+
+    def psd_sqrt(mat):
+        vals, vecs = np.linalg.eigh(mat)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+    root1 = psd_sqrt(g1.cov)
+    cross = psd_sqrt(root1 @ g2.cov @ root1)
+    mean_term = float(np.sum((g1.mean - g2.mean) ** 2))
+    return max(mean_term + float(np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross)), 0.0)
+
+
+def psd_mixture(rng, count, dim, rank):
+    """A mixture of ``count`` Gaussians in ``dim`` dimensions, with PSD
+    covariances of rank ``rank``."""
+    comps = []
+    for _ in range(count):
+        factor = rng.standard_normal((dim, rank))
+        comps.append(Gaussian(rng.normal(scale=2.0, size=dim), factor @ factor.T))
+    w = rng.random(count) + 0.2
+    return GaussianMixture(w / w.sum(), tuple(comps))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_pairwise_bures_matches_the_per_pair_formula(dim, deficient):
+    # All pairs from two stacked eigendecompositions equal a loop of the
+    # per-pair formula, with K1 != K2, full-rank and rank-deficient PSD
+    # covariances (rank d - 1, and rank 0 at d = 1), and bures_w2 too.
+    rng = np.random.default_rng(40 + dim)
+    rank = dim - 1 if deficient else dim
+    mix1, mix2 = psd_mixture(rng, 4, dim, rank), psd_mixture(rng, 3, dim, rank)
+    for p, q in ((mix1, mix2), (mix2, mix1), (mix1, mix1)):
+        stacked = _pairwise_bures(p, q)
+        loop = np.array([[per_pair_bures(g1, g2) for g2 in q.components] for g1 in p.components])
+        assert stacked.shape == (len(p.components), len(q.components))
+        npt.assert_allclose(stacked, loop, rtol=1e-15, atol=0.0)
+        pairs = [[bures_w2(g1, g2) for g2 in q.components] for g1 in p.components]
+        npt.assert_allclose(pairs, loop, rtol=1e-15, atol=0.0)
+    assert gmm_distance(mix1, mix1).value == 0.0
 
 
 def test_gaussian_validation():
