@@ -6,37 +6,38 @@ is followed by a KL projection onto the three marginal constraints
 Q1 = a, R1 = b, Q^T 1 = R^T 1 = g (Scetbon, Cuturi & Peyre, "Low-Rank
 Sinkhorn Factorization", 2021). The projection takes damped Newton steps
 on its dual, which has only 2r variables once the row scalings are
-solved in closed form; when Newton declines, the log-domain Dykstra
-recursion, the reference, projects instead.
+solved in closed form; a step whose projection Newton declines counts
+as infeasible and is retried at half the size.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 
 import numpy as np
 
 from .errors import DivergedError
-from .geometry import DEFAULT_EPSILON_SCALE, _lse
-from .sinkhorn import Coupling, LinearProblem, _sinkhorn_iterations
+from .geometry import DEFAULT_EPSILON_SCALE
+from .sinkhorn import Coupling, LinearProblem, solve_sinkhorn
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["LowRankFactors", "LowRankOutput", "solve_lr_sinkhorn", "lr_coupling"]
 
-# Inner projection: floor on g, Newton step or Dykstra sweep cap, marginal
-# tolerance, and the Newton line search's halvings, sufficient-increase
-# factor and the relative rounding of the dual.
+# Inner projection: floor on g, Newton step cap, marginal tolerance, and
+# the Newton line search's halvings, sufficient-increase factor and the
+# relative rounding of the dual.
 _G_FLOOR = 1e-10
 _PROJECTION_MAX_STEPS = 100
 _PROJECTION_TOL = 1e-9
 _LINE_SEARCH_HALVINGS = 30
 _ARMIJO = 1e-4
 _ROUNDING = 1e-12
-# A step is only accepted when its projection residual is this small;
-# otherwise the step size is halved, for this and every later step, and
-# the step retried.
+# A step is only accepted when Newton projects it with a residual this
+# small; otherwise, a declined projection included, the step size is
+# halved, for this and every later step, and the step retried.
 _PROJECTION_ACCEPT = 5e-7
 _MAX_BACKOFFS_PER_STEP = 10
 # Starting factors are carved out of a moderately blurred entropic plan
@@ -82,26 +83,6 @@ def lr_coupling(factors: LowRankFactors) -> Coupling:
     if not np.all((factors.g > 0) & (factors.g < np.inf)):
         raise ValueError("inner marginal g must be positive and finite")
     return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
-
-
-def _project(lk1, lk2, lk3, a, b):
-    """KL projection of factor kernels onto the marginal constraints.
-
-    Projects by Newton's method on the dual (``_newton``); when that
-    declines, projects from the same inputs by the log-domain Dykstra
-    recursion (``_dykstra``, the reference) and returns exactly what that
-    returns. Both stop once the marginals they do not match by
-    construction are within ``_PROJECTION_TOL``, Newton's columns up to
-    the weights' sum mismatch and Dykstra's rows. Floating-point warnings
-    are off in both: a too-large step overflows, and the step backoff of
-    ``solve_lr_sinkhorn`` handles it. Returns the factor logs plus the
-    final marginal residual.
-    """
-    with np.errstate(all="ignore"):
-        result = _newton(lk1, lk2, lk3, a, b)
-        if result is None:
-            result = _dykstra(lk1, lk2, lk3, a, b)
-    return result
 
 
 def _softmax_rows(z):
@@ -189,40 +170,8 @@ def _newton(lk1, lk2, lk3, a, b):
 
 
 def _decline(reason):
-    logger.debug("lowrank: Newton projection declined (%s); projecting by Dykstra", reason)
+    logger.debug("lowrank: Newton projection declined (%s)", reason)
     return None
-
-
-def _dykstra(lk1, lk2, lk3, a, b):
-    """The projection by the log-domain Dykstra recursion, the reference.
-
-    Alternating scalings with Dykstra correction terms, also flooring g
-    at ``_G_FLOOR``. Columns of the returned factors match g exactly by
-    construction; the sweeps run until the row-marginal residual is at
-    most ``_PROJECTION_TOL`` or ``_PROJECTION_MAX_STEPS`` sweeps are
-    spent. The corrections of the two averaged constraints cancel their
-    own scalings, and the three corrections of g sum to lk3 minus g, so
-    only the floor's correction is kept.
-    """
-    log_a, log_b = np.log(a), np.log(b)
-    ls1, ls2 = _lse(lk1, axis=1), _lse(lk2, axis=1)
-    lg, lq3 = lk3, np.zeros(lk3.size)
-    log_floor = np.log(_G_FLOOR)
-    for _ in range(_PROJECTION_MAX_STEPS):
-        x = lg + lq3
-        lg = np.maximum(log_floor, x)
-        lq3 = x - lg
-        lu1 = np.where(a > 0, log_a - ls1, -np.inf)
-        lu2 = np.where(b > 0, log_b - ls2, -np.inf)
-        lktu1 = _lse(lk1 + lu1[:, None], axis=0)
-        lktu2 = _lse(lk2 + lu2[:, None], axis=0)
-        lg = (lk3 - lq3 + lktu1 + lktu2) / 3.0
-        lv1, lv2 = lg - lktu1, lg - lktu2
-        ls1, ls2 = _lse(lk1 + lv1, axis=1), _lse(lk2 + lv2, axis=1)
-        err = np.abs(np.exp(lu1 + ls1) - a).sum() + np.abs(np.exp(lu2 + ls2) - b).sum()
-        if err <= _PROJECTION_TOL:
-            break
-    return lu1[:, None] + lk1 + lv1, lu2[:, None] + lk2 + lv2, lg, float(err)
 
 
 def _initial_factors(prob, rank, seed, cost, log_a, log_b):
@@ -245,7 +194,7 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
     q0 = None
     if eps0 > 0:
         try:
-            sk = _sinkhorn_iterations(prob, eps0, _GUIDE_THRESHOLD, _GUIDE_MAX_ITERS, 10, None)
+            sk = solve_sinkhorn(prob, eps0, threshold=_GUIDE_THRESHOLD, max_iters=_GUIDE_MAX_ITERS)
         except DivergedError:
             pass
         else:
@@ -307,19 +256,26 @@ def solve_lr_sinkhorn(
         fallback); fixed seed means a fully deterministic solve.
 
     Each step's factors are projected back onto the marginal constraints
-    by Newton's method on the projection's dual, or by the log-domain
-    Dykstra recursion where Newton declines.
+    by Newton's method on the projection's dual. A step whose projection
+    Newton declines is infeasible like one whose residual is too large:
+    it is retried at half the size. When no halving is accepted, the
+    solve stops at the last accepted iterate, unconverged.
 
     Returns:
       A :class:`LowRankOutput` with the factors and the transport-cost
       trace (one entry per iterate, starting with the initial point).
 
     Raises:
-      ValueError: on a rank, gamma, threshold or iteration cap out of range.
-      DivergedError: if factors turn NaN, typically a too-large gamma.
+      ValueError: on a rank that is not an integer, or a rank, gamma,
+        threshold or iteration cap out of range.
+      DivergedError: if Newton cannot project the start factors, so that
+        there is no feasible iterate to return; its ``iteration`` is 0.
     """
     n, m = prob.geom.shape
-    rank = int(rank)
+    try:
+        rank = operator.index(rank)
+    except TypeError:
+        raise ValueError(f"rank must be an integer, got {rank!r}") from None
     if rank < 1 or rank > min(n, m):
         raise ValueError(f"rank must lie in [1, {min(n, m)}], got {rank}")
     if gamma is not None and not (0 < gamma < np.inf):
@@ -335,7 +291,11 @@ def solve_lr_sinkhorn(
         log_b = np.log(b)
 
     lq, lr, lg = _initial_factors(prob, rank, seed, cost, log_a, log_b)
-    lq, lr, lg, _ = _project(lq, lr, lg, a, b)
+    with np.errstate(all="ignore"):
+        start = _newton(lq, lr, lg, a, b)
+    if start is None:
+        raise DivergedError("Newton cannot project the low-rank start factors", iteration=0)
+    lq, lr, lg, _ = start
     q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
     # cost @ (r / g) is both the transport cost's product and the next
     # step's q-gradient, so each accepted iterate computes it once.
@@ -351,29 +311,23 @@ def solve_lr_sinkhorn(
             gamma = 10.0 / peak if peak > 0 else 1.0
             logger.debug("lowrank: default gamma = %g", gamma)
         # A too-long step can overflow the step kernels or leave them too
-        # degenerate for the projection to reach feasibility. Halve the
-        # step until the projection is clean; if even tiny steps fail,
-        # the last iterate is the answer, unconverged.
-        saw_finite = False
+        # degenerate for Newton to project; floating-point warnings are
+        # off because the backoff handles both. Halve the step until the
+        # projection is clean; if even tiny steps fail, the last iterate
+        # is the answer, unconverged.
         for _ in range(_MAX_BACKOFFS_PER_STEP):
-            lq_new, lr_new, lg_new, residual = _project(
-                lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b
-            )
-            if np.isfinite(residual):
-                saw_finite = True
+            with np.errstate(all="ignore"):
+                step = _newton(lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b)
+            residual = np.inf if step is None else step[3]
             if residual <= _PROJECTION_ACCEPT:
                 break
             gamma *= 0.5
         else:
-            if not saw_finite:
-                raise DivergedError(
-                    "low-rank factors blew up despite step-size backoff", iteration=t
-                )
             logger.info(
                 "lowrank: no acceptable step at iteration %d (residual %.2e); stopping", t, residual
             )
             break
-        lq, lr, lg = lq_new, lr_new, lg_new
+        lq, lr, lg, _ = step
         q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
         grad_q = cost @ (r / g[None, :])
         costs.append(float(np.sum(q * grad_q)))

@@ -39,32 +39,31 @@ def cost_matrix_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def log_domain(monkeypatch):
-    """Call it to make every backend's kernel builder and the low-rank
-    Newton projection decline, so that the solves that follow run in the
-    log domain, the reference."""
+    """Call it to make every backend's kernel builder decline, so that the
+    solves that follow run in the log domain, the reference."""
 
     def force():
         for cls in (Geometry, PointCloudGeometry, GridGeometry):
             monkeypatch.setattr(cls, "_gibbs", lambda self, eps, old: None)
-        monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
 
     return force
 
 
 @pytest.fixture
 def infeasible_after_first_step(monkeypatch):
-    """Makes every low-rank projection after the start's and the first
-    accepted step's report a finite residual above the acceptance level,
-    so that no later step can be accepted."""
-    original = lowrank._project
+    """Makes every low-rank Newton projection after the start's and the
+    first accepted step's decline, so that no later step can be accepted.
+    Returns the list of those two projections."""
+    original = lowrank._newton
     accepted = []
 
-    def project(*args):
-        lq, lr, lg, residual = original(*args)
+    def newton(*args):
         if len(accepted) >= 2:
-            return lq, lr, lg, 1e3 * lowrank._PROJECTION_ACCEPT
-        if residual <= lowrank._PROJECTION_ACCEPT:
-            accepted.append(residual)
-        return lq, lr, lg, residual
+            return None
+        result = original(*args)
+        if result is not None and result[3] <= lowrank._PROJECTION_ACCEPT:
+            accepted.append(result)
+        return result
 
-    monkeypatch.setattr(lowrank, "_project", project)
+    monkeypatch.setattr(lowrank, "_newton", newton)
+    return accepted

@@ -23,6 +23,7 @@ from otkit import (
     SoftSortSpec,
     gmm_distance,
     grad_points,
+    lowrank,
     lr_coupling,
     reg_ot_cost,
     soft_rank,
@@ -172,6 +173,21 @@ def test_lin_low_rank_exits_two_when_no_step_is_acceptable(tmp_path, capsys, inf
     assert code == 2
     assert payload["converged"] is False
     assert payload["iterations"] == 2
+
+
+def test_lin_low_rank_exits_two_when_the_start_cannot_be_projected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
+    rng = np.random.default_rng(0)
+    x = write_csv(tmp_path / "x.csv", rng.random((6, 2)))
+    y = write_csv(tmp_path / "y.csv", rng.random((5, 2)))
+    code, payload, err = run(
+        capsys, ["lin", "--x", x, "--y", y, "--solver", "lr", "--rank", "2"]
+    )
+    assert code == 2
+    assert payload is None
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "(iteration 0)" in err
 
 
 @pytest.mark.parametrize(

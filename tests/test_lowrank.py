@@ -1,5 +1,6 @@
 """Rank-constrained solver: forced couplings, factor identities, descent."""
 
+import functools
 import logging
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 from otkit import (
     DenseGeometry,
+    DivergedError,
     LinearProblem,
     LowRankFactors,
     PointCloudGeometry,
@@ -16,6 +18,40 @@ from otkit import (
     lr_coupling,
     solve_lr_sinkhorn,
 )
+from otkit.geometry import _lse
+
+
+def _dykstra(lk1, lk2, lk3, a, b, max_sweeps):
+    """The projection by the log-domain Dykstra recursion, the reference.
+
+    Alternating scalings with Dykstra correction terms, also flooring g
+    at ``_G_FLOOR``. Columns of the returned factors match g exactly by
+    construction; the sweeps run until the row-marginal residual is at
+    most ``_PROJECTION_TOL`` or ``max_sweeps`` sweeps are spent. The
+    corrections of the two averaged constraints cancel their own
+    scalings, and the three corrections of g sum to lk3 minus g, so only
+    the floor's correction is kept. Returns what ``lowrank._newton``
+    returns: the factor logs and the marginal residual.
+    """
+    log_a, log_b = np.log(a), np.log(b)
+    ls1, ls2 = _lse(lk1, axis=1), _lse(lk2, axis=1)
+    lg, lq3 = lk3, np.zeros(lk3.size)
+    log_floor = np.log(lowrank._G_FLOOR)
+    for _ in range(max_sweeps):
+        x = lg + lq3
+        lg = np.maximum(log_floor, x)
+        lq3 = x - lg
+        lu1 = np.where(a > 0, log_a - ls1, -np.inf)
+        lu2 = np.where(b > 0, log_b - ls2, -np.inf)
+        lktu1 = _lse(lk1 + lu1[:, None], axis=0)
+        lktu2 = _lse(lk2 + lu2[:, None], axis=0)
+        lg = (lk3 - lq3 + lktu1 + lktu2) / 3.0
+        lv1, lv2 = lg - lktu1, lg - lktu2
+        ls1, ls2 = _lse(lk1 + lv1, axis=1), _lse(lk2 + lv2, axis=1)
+        err = np.abs(np.exp(lu1 + ls1) - a).sum() + np.abs(np.exp(lu2 + ls2) - b).sum()
+        if err <= lowrank._PROJECTION_TOL:
+            break
+    return lu1[:, None] + lk1 + lv1, lu2[:, None] + lk2 + lv2, lg, float(err)
 
 
 def test_rank_one_cost_is_the_independent_coupling_cost():
@@ -152,6 +188,10 @@ def test_rank_bounds_are_enforced():
         solve_lr_sinkhorn(prob, 0)
     with pytest.raises(ValueError):
         solve_lr_sinkhorn(prob, 3)
+    for rank in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            solve_lr_sinkhorn(prob, rank)
+    assert solve_lr_sinkhorn(prob, np.int64(2)).factors.rank == 2
 
 
 def test_lr_coupling_rejects_nonpositive_inner_marginal():
@@ -179,10 +219,11 @@ def _zero_weight_problem():
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4])
-def test_newton_projection_solves_match_the_log_domain(rank, log_domain):
+def test_newton_projection_solves_match_the_log_domain(rank, log_domain, monkeypatch):
     prob = _zero_weight_problem()
     out = solve_lr_sinkhorn(prob, rank)
     log_domain()
+    monkeypatch.setattr(lowrank, "_newton", functools.partial(_dykstra, max_sweeps=100))
     ref = solve_lr_sinkhorn(prob, rank)
     assert out.converged == ref.converged
     npt.assert_allclose(out.costs[-1], ref.costs[-1], rtol=1e-5, atol=0)
@@ -196,16 +237,17 @@ def test_zero_target_weights_keep_zero_factor_rows():
     assert np.all(out.factors.r[2] == 0.0)
 
 
-def _spy(monkeypatch, name):
-    """Records the arguments of every call to ``lowrank.<name>``."""
+def _spy(monkeypatch):
+    """Records the arguments and result of every ``lowrank._newton`` call."""
     calls = []
-    original = getattr(lowrank, name)
+    original = lowrank._newton
 
     def spy(*args):
-        calls.append(args)
-        return original(*args)
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(lowrank, name, spy)
+    monkeypatch.setattr(lowrank, "_newton", spy)
     return calls
 
 
@@ -232,15 +274,13 @@ def test_newton_projection_matches_the_dykstra_reference(case, monkeypatch):
         prob, rank = _zero_weight_problem(), 3
     else:
         prob, rank = _bench_problem(), 5
-    calls = _spy(monkeypatch, "_project")
+    calls = _spy(monkeypatch)
     solve_lr_sinkhorn(prob, rank, max_iters=3)
-    # The reference converges linearly; given the sweeps, it reaches the
-    # same tolerance.
-    monkeypatch.setattr(lowrank, "_PROJECTION_MAX_STEPS", 100_000)
-    for lk1, lk2, lk3, a, b in calls:
+    for args, got in calls:
+        # The reference converges linearly; given the sweeps, it reaches
+        # the same tolerance.
         with np.errstate(all="ignore"):
-            got = lowrank._newton(lk1, lk2, lk3, a, b)
-            want = lowrank._dykstra(lk1, lk2, lk3, a, b)
+            want = _dykstra(*args, max_sweeps=100_000)
         assert got is not None
         assert got[3] <= lowrank._PROJECTION_TOL and want[3] <= lowrank._PROJECTION_TOL
         for x, y in zip(got[:3], want[:3]):
@@ -250,54 +290,52 @@ def test_newton_projection_matches_the_dykstra_reference(case, monkeypatch):
 def test_singular_newton_system_takes_the_minimum_norm_step(monkeypatch):
     # Every factor row sits at a vertex, so the row softmaxes are flat in
     # h and the Newton system is singular; its minimum-norm step moves
-    # only what Q, R and g depend on, and no fallback is needed.
+    # only what Q, R and g depend on, and Newton does not decline.
     lk = np.log(0.5) + np.array([[0.0, -80.0], [-80.0, 0.0]])
     lk3 = np.array([-0.3, 0.8])
     a = np.array([0.5, 0.5])
-    calls = _spy(monkeypatch, "_dykstra")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = lowrank._project(lk, lk, lk3, a, a)
-    assert calls == []
+        got = lowrank._newton(lk, lk, lk3, a, a)
+    assert got is not None
     assert got[3] <= lowrank._PROJECTION_TOL
     with np.errstate(all="ignore"):
-        want = lowrank._dykstra(lk, lk, lk3, a, a)
+        want = _dykstra(lk, lk, lk3, a, a, max_sweeps=100)
     for x, y in zip(got[:3], want[:3]):
         assert np.abs(np.exp(x) - np.exp(y)).sum() <= 1e-8
 
 
-def test_a_declined_newton_projection_returns_the_reference(monkeypatch, caplog):
-    # One projection of this solve stalls Newton's line search.
+def test_a_declined_newton_projection_halves_the_step(monkeypatch, caplog):
+    # One projection of this solve stalls Newton's line search; the step
+    # is retried from the same iterate at half the size.
     rng = np.random.default_rng(0)
     prob = LinearProblem(PointCloudGeometry(rng.random((5, 2)), rng.random((4, 2))))
-    projections = []
-    original = lowrank._project
-
-    def project(*args):
-        result = original(*args)
-        projections.append((args, result))
-        return result
-
-    monkeypatch.setattr(lowrank, "_project", project)
+    calls = _spy(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="otkit.lowrank"):
-        solve_lr_sinkhorn(prob, 3)
-    with np.errstate(all="ignore"):
-        declined = [(args, got) for args, got in projections if lowrank._newton(*args) is None]
-        assert len(declined) == 1
-        args, got = declined[0]
-        want = lowrank._dykstra(*args)
+        out = solve_lr_sinkhorn(prob, 3)
     assert "stalled line search" in caplog.text
-    for x, y in zip(got, want):
-        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    declined = [k for k, (_, result) in enumerate(calls) if result is None]
+    assert len(declined) == 1
+    k = declined[0]
+    # Every other call's projection was accepted, so the one before the
+    # decline made the iterate that both the step and its retry start from.
+    assert len(calls) == out.iterations + 2
+    iterate = calls[k - 1][1][:3]
+    step, retry = calls[k][0][:3], calls[k + 1][0][:3]
+    for x, long, short in zip(iterate, step, retry):
+        npt.assert_allclose(x - short, 0.5 * (x - long), rtol=1e-12, atol=1e-15 * np.abs(x).max())
+    assert out.iterations == 50
+    assert out.converged
+    assert out.costs[-1] == 0.36828252861924493
 
 
 def test_weight_sum_mismatch_makes_no_fallback(monkeypatch):
     # sum(b) - sum(a) is the dual gradient along its gauge direction, which
     # no step removes, so the stopping test must not count it.
-    calls = _spy(monkeypatch, "_dykstra")
+    calls = _spy(monkeypatch)
     out = solve_lr_sinkhorn(_bench_problem(b_scale=1.0 + 5e-9), 5, threshold=1e-4)
     assert out.converged
-    assert calls == []
+    assert all(result is not None for _, result in calls)
 
 
 @pytest.mark.parametrize("seed", [0, 2, 4])
@@ -311,14 +349,14 @@ def test_small_clouds_converge_well_before_the_step_cap(seed):
 
 def test_near_vertex_full_rank_solve_converges_without_fallbacks(monkeypatch):
     # Its factors approach a vertex, where the Newton systems turn
-    # singular; projections that fell back there cost hundreds of steps.
+    # singular; a decline there would halve every later step.
     rng = np.random.default_rng(3)
     prob = LinearProblem(PointCloudGeometry(rng.random((4, 2)), rng.random((4, 2))))
-    calls = _spy(monkeypatch, "_dykstra")
+    calls = _spy(monkeypatch)
     out = solve_lr_sinkhorn(prob, 4, max_iters=3000)
     assert out.converged
     assert out.iterations <= 100
-    assert calls == []
+    assert all(result is not None for _, result in calls)
 
 
 def test_a_too_large_gamma_backs_off_without_warnings():
@@ -349,10 +387,23 @@ def test_no_acceptable_first_step_returns_the_start_unconverged():
 
 
 def test_running_out_of_acceptable_steps_is_not_convergence(infeasible_after_first_step):
+    # Every halving of the second step declines; the first accepted step
+    # is the answer, unconverged.
     out = solve_lr_sinkhorn(_cloud_problem(), 2)
     assert out.iterations == 2
     assert out.converged is False
     assert out.costs.shape == (2,)
+    lq, lr, lg, _ = infeasible_after_first_step[-1]
+    for got, logs in zip((out.factors.q, out.factors.r, out.factors.g), (lq, lr, lg)):
+        assert got.tobytes() == np.exp(logs).tobytes()
+
+
+def test_a_start_newton_cannot_project_raises_at_iteration_zero(monkeypatch):
+    # Without a feasible start there is no iterate to return.
+    monkeypatch.setattr(lowrank, "_newton", lambda *args: None)
+    with pytest.raises(DivergedError) as info:
+        solve_lr_sinkhorn(_cloud_problem(), 2)
+    assert info.value.iteration == 0
 
 
 def test_gamma_and_threshold_are_validated():
