@@ -9,7 +9,8 @@ and builds a solve's kernel (``_gibbs``) and applies it (``_contract``,
 ``_sweep``) for ``_KernelStep``, which holds a solve's iterate and runs
 the Sinkhorn and barycenter sweeps: on a kernel, on the scalings
 u = exp((f - c)/eps) and v = exp(g/eps), forming the potentials f and g
-only at checks, eps changes, the end and a fall to the log domain.
+only at checks, eps changes, the end and a fall to the log domain, and
+on one n x m kernel running the sweeps between two checks in one loop.
 :class:`DenseGeometry` wraps a cost matrix, read in place and never
 written; :class:`PointCloudGeometry` factors its cost once as
 C = A B^T; :class:`GridGeometry` contracts costs that separate over the
@@ -384,13 +385,21 @@ class _KernelStep:
     each pass over the kernel. Without ``b`` the caller updates the
     columns itself, from ``col_logs`` and ``col_marginal``, through
     ``set_cols``. Callers run it under ``np.errstate(all="ignore")``.
+
+    A call may ask for a run of sweeps with no check between them. For
+    one problem with its ``b``, on the one n x m kernel of a geometry
+    whose ``_sweep`` is the base one, ``_run`` makes the sweeps inline:
+    ``_sweep``'s products, the range check and v = b / K^T u, bitwise the
+    same sweeps as one call each. Streamed kernels, grids, stacked
+    problems and the log domain make one sweep after another.
     """
 
     def __init__(self, geom: Geometry, a: np.ndarray, g: np.ndarray, b: np.ndarray | None = None):
         self.geom, self.a, self.b = geom, a, b
         self.log_a, self.log_b = np.log(a), None if b is None else np.log(b)
-        # gibbs is () before the first build and None in the log domain.
-        self.gibbs, self.eps = (), None
+        # gibbs is () before the first build and None in the log domain;
+        # kernel is the n x m kernel that ``_run`` sweeps on, or None.
+        self.gibbs, self.eps, self.kernel = (), None, None
         # Potentials, and on a kernel the scalings; u and f stay None
         # until the first sweep makes them.
         self.f, self.g, self.u, self.v = None, g, None, None
@@ -398,33 +407,67 @@ class _KernelStep:
         self.n = geom.shape[0]
         self.products = np.empty(a.shape[:-1] + (self.n + geom.shape[1],))
 
-    def sweep(self, eps: float, t: int, check: bool = False) -> np.ndarray | None:
-        """Makes f = eps log a - eps log(K e^{g/eps}), then, given b,
-        g = eps log b - eps log(K^T e^{f/eps}). With ``check``, returns the
-        row marginal of the iterate before the sweep, which eps must not
-        have changed: u times the first product."""
+    def sweep(self, eps: float, t: int, check: bool = False, count: int = 1) -> np.ndarray | None:
+        """Makes sweeps t to t + count - 1, each f = eps log a -
+        eps log(K e^{g/eps}), then, given b, g = eps log b -
+        eps log(K^T e^{f/eps}). With ``check``, and one sweep, returns the
+        row marginal of the iterate before it, which eps must not have
+        changed: u times the first product."""
         if eps != self.eps:
             self._set_eps(eps)
-        if self.gibbs:
-            factors, _, floor = self.gibbs
-            out = self.products
-            u = self.geom._sweep(factors, self.v, self.a, out)
-            # Both products lie in [floor, inf), NaN-free.
-            if out.min() >= floor and out.max() < np.inf:
-                row = self.u * out[..., : self.n] if check else None
-                self.u = u
-            else:
-                logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
-                self.f, self.g = self.potentials()
-                self.gibbs = None
-        if not self.gibbs:
-            f = eps * self.log_a - self._lse(self.g, eps, "rows", t)
-            # f is -inf where a is 0.
-            row = np.where(self.a > 0, self.a * np.exp((self.f - f) / eps), 0.0) if check else None
-            self.f, self.back = f, self._lse(f, eps, "cols", t)
-        if self.b is not None:
-            self.set_cols(self.b, self.log_b)
+        stop, row = t + count, None
+        if self.kernel is not None:
+            t, row = self._run(t, stop, check)
+        for t in range(t, stop):
+            if self.gibbs:
+                factors, _, floor = self.gibbs
+                out = self.products
+                u = self.geom._sweep(factors, self.v, self.a, out)
+                # Both products lie in [floor, inf), NaN-free.
+                if out.min() >= floor and out.max() < np.inf:
+                    row = self.u * out[..., : self.n] if check else None
+                    self.u = u
+                else:
+                    self._leave(t)
+            if not self.gibbs:
+                f = eps * self.log_a - self._lse(self.g, eps, "rows", t)
+                # f is -inf where a is 0.
+                row = np.where(self.a > 0, self.a * np.exp((self.f - f) / eps), 0.0) if check else None
+                self.f, self.back = f, self._lse(f, eps, "cols", t)
+            if self.b is not None:
+                self.set_cols(self.b, self.log_b)
         return row
+
+    def _run(self, t: int, stop: int, check: bool) -> tuple:
+        """Sweeps t to stop - 1 on ``kernel``, each ``_sweep``'s products
+        K v and K^T u, the range check and v = b / K^T u, up to the first
+        sweep whose products leave the range, which leaves the kernel.
+        Returns that sweep, or stop, and with ``check`` the row marginal."""
+        kernel, floor = self.kernel, self.gibbs[2]
+        kernel_t, a, b = kernel.T, self.a, self.b
+        out = self.products
+        kv, ktu = out[: self.n], out[self.n :]
+        u, v, row = self.u, self.v, None
+        for t in range(t, stop):
+            np.matmul(v, kernel_t, out=kv)
+            u_next = np.divide(a, kv)
+            np.matmul(u_next, kernel, out=ktu)
+            if not (out.min() >= floor and out.max() < np.inf):
+                self.u, self.v = u, v
+                self._leave(t)
+                return t, None
+            if check:
+                row = u * kv
+            u, v = u_next, b / ktu
+        self.u, self.v = u, v
+        return stop, row
+
+    def _leave(self, t: int) -> None:
+        """Forms the potentials of the iterate and leaves the kernel for
+        the log domain, at sweep t."""
+        logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
+        self.f, self.g = self.potentials()
+        self.gibbs = self.kernel = None
 
     def potentials(self) -> tuple:
         """``(f, g)`` of the iterate; f is None before the first sweep."""
@@ -458,10 +501,13 @@ class _KernelStep:
             self.f, self.g = self.potentials()
         if self.gibbs is not None:
             self.gibbs = self.geom._gibbs(eps, self.gibbs)
-        self.eps = eps
+        self.eps, self.kernel = eps, None
         if self.gibbs:
             self.v = np.exp(self.g / eps)
             self.u = None if self.f is None else np.exp((self.f - self.gibbs[1]) / eps)
+            one_kernel = len(self.gibbs[0]) == 1 and type(self.geom)._sweep is Geometry._sweep
+            if one_kernel and self.b is not None and self.a.ndim == 1:
+                self.kernel = self.gibbs[0][0]
 
     def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])

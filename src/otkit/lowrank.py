@@ -6,8 +6,9 @@ is followed by a KL projection onto the three marginal constraints
 Q1 = a, R1 = b, Q^T 1 = R^T 1 = g (Scetbon, Cuturi & Peyre, "Low-Rank
 Sinkhorn Factorization", 2021). The projection takes damped Newton steps
 on its dual, which has only 2r variables once the row scalings are
-solved in closed form; a step whose projection Newton declines counts
-as infeasible and is retried at half the size.
+solved in closed form, starting from the dual of the last accepted
+projection, which predicts the next one's; a step whose projection
+Newton declines counts as infeasible and is retried at half the size.
 """
 
 from __future__ import annotations
@@ -85,60 +86,70 @@ def lr_coupling(factors: LowRankFactors) -> Coupling:
     return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
 
 
-def _softmax_rows(z):
-    """Row softmax of z and its row log-sum-exps."""
-    hi = z.max(axis=1, keepdims=True)
+def _softmax_cols(z):
+    """Column softmax of z and its column log-sum-exps."""
+    hi = z.max(axis=0)
     p = np.exp(z - hi)
-    total = p.sum(axis=1, keepdims=True)
-    return p / total, (np.log(total) + hi)[:, 0]
+    total = p.sum(axis=0)
+    return p / total, np.log(total) + hi
 
 
-def _newton(lk1, lk2, lk3, a, b):
-    """The projection by damped Newton steps on its 2r-variable dual.
+def _newton(lk1, lk2, lk3, a, b, h):
+    """The projection by damped Newton steps on its 2r-variable dual,
+    from the dual h.
 
     With the row scalings solved in closed form, the duals h = (h1, h2)
     of the two column constraints give Q = a * rowsoftmax(lk1 + h1),
     R = b * rowsoftmax(lk2 + h2) and g = exp(lk3 - h1 - h2), so the rows
     of Q and R match a and b exactly. The dual
     F(h) = -a . lse(lk1 + h1) - b . lse(lk2 + h2) - sum(g) is concave,
-    with gradient (g - Q^T 1, g - R^T 1). A step along e = (1, -1)
-    changes neither Q, R nor g, so e e^T is added to the negative Hessian
-    and the stopping test ignores the gradient's e-component, which is
+    with gradient (g - Q^T 1, g - R^T 1). The rows of both factors are
+    the columns of one 2r x (n + m) array, each -inf in the other
+    factor's rows, so one column softmax gives Q^T and R^T stacked and
+    one product both blocks of the Hessian; along its short axis of 2r,
+    numpy reduces whole rows at a time. A step along e = (1, -1) changes
+    neither Q, R nor g, so e e^T is added to the negative Hessian and the
+    stopping test ignores the gradient's e-component, which is
     sum(b) - sum(a) at every h. At near-vertex factors the system can
     still be singular: rows whose softmax is flat in h leave directions
     (x, -x) with sum(x) = 0 that move neither Q, R nor g, and the
     minimum-norm step, which has no component along them, is taken
-    instead. Returns the factor logs and the L1 norm of the gradient, the
-    column-marginal error; returns None on a non-finite system, a stalled
-    line search, a spent step cap or a g below ``_G_FLOOR``, where the
-    floored projection differs.
+    instead. Returns the factor logs, the L1 norm of the gradient (the
+    column-marginal error) and the final h; returns None on a non-finite
+    system, a stalled line search, a spent step cap or a g below
+    ``_G_FLOOR``, where the floored projection differs.
     """
     rank = lk3.size
     rows1, rows2 = a > 0, b > 0
-    k1, a1 = lk1[rows1], a[rows1]
-    k2, b2 = lk2[rows2], b[rows2]
+    n1 = np.count_nonzero(rows1)
+    k = np.full((2 * rank, n1 + np.count_nonzero(rows2)), -np.inf)
+    k[:rank, :n1] = lk1[rows1].T
+    k[rank:, n1:] = lk2[rows2].T
+    w = np.concatenate((a[rows1], b[rows2]))
     e = np.repeat([1.0, -1.0], rank)
+    # The negative Hessian less its factor blocks: g on the diagonal of
+    # all four r x r blocks, and e e^T.
+    blocks = np.tile(np.eye(rank), (2, 2))
+    gauge = np.outer(e, e)
 
     def dual(h):
-        s1, l1 = _softmax_rows(k1 + h[:rank])
-        s2, l2 = _softmax_rows(k2 + h[rank:])
+        s, l = _softmax_cols(k + h[:, None])
         g = np.exp(lk3 - h[:rank] - h[rank:])
-        return -(a1 @ l1) - (b2 @ l2) - g.sum(), s1, s2, g, l1, l2
+        return -(w @ l) - g.sum(), s, g, l
 
-    h = np.zeros(2 * rank)
     state = dual(h)
     for _ in range(_PROJECTION_MAX_STEPS):
-        f, s1, s2, g, l1, l2 = state
+        f, s, g, l = state
         if not np.isfinite(f):
             return _decline("non-finite dual")
-        q, r = a1[:, None] * s1, b2[:, None] * s2
-        col1, col2 = q.sum(axis=0), r.sum(axis=0)
-        grad = np.concatenate((g - col1, g - col2))
+        p = s * w
+        col = p.sum(axis=1)
+        gg = np.concatenate((g, g))
+        grad = gg - col
         if np.abs(grad - (grad @ e / e.size) * e).sum() <= _PROJECTION_TOL:
             break
-        hess = np.tile(np.diag(g), (2, 2)) + np.outer(e, e)
-        hess[:rank, :rank] += np.diag(col1) - s1.T @ q
-        hess[rank:, rank:] += np.diag(col2) - s2.T @ r
+        hess = blocks * gg + gauge - s @ p.T
+        hess.flat[:: 2 * rank + 1] += col
         try:
             d = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -162,11 +173,12 @@ def _newton(lk1, lk2, lk3, a, b):
         return _decline("step cap")
     if not g.min() >= _G_FLOOR:
         return _decline("g below its floor")
+    logs = np.log(w) + k + h[:, None] - l
     lq = np.full(lk1.shape, -np.inf)
     lr = np.full(lk2.shape, -np.inf)
-    lq[rows1] = np.log(a1)[:, None] + k1 + h[:rank] - l1[:, None]
-    lr[rows2] = np.log(b2)[:, None] + k2 + h[rank:] - l2[:, None]
-    return lq, lr, lk3 - h[:rank] - h[rank:], float(np.abs(grad).sum())
+    lq[rows1] = logs[:rank, :n1].T
+    lr[rows2] = logs[rank:, n1:].T
+    return lq, lr, lk3 - h[:rank] - h[rank:], float(np.abs(grad).sum()), h
 
 
 def _decline(reason):
@@ -247,7 +259,11 @@ def solve_lr_sinkhorn(
       gamma: mirror-descent step size. Defaults to 10 / max|gradient|
         measured at the first iteration. A step whose projection stays
         infeasible is retried at half the size, and the halved size is
-        kept for every later step, so this acts as an upper bound.
+        kept for every later step, so this acts as an upper bound. A
+        step tries at most 10 sizes, each half the last, and its tenth
+        decline leaves gamma cut 1,024-fold: a gamma that far above
+        what the first step accepts returns the projected start,
+        unconverged.
       threshold: stop when the cost moved by at most
         ``threshold * (1 + |cost|)`` over the last ``inner_iters`` steps.
       max_iters: hard cap on mirror-descent steps.
@@ -256,10 +272,12 @@ def solve_lr_sinkhorn(
         fallback); fixed seed means a fully deterministic solve.
 
     Each step's factors are projected back onto the marginal constraints
-    by Newton's method on the projection's dual. A step whose projection
-    Newton declines is infeasible like one whose residual is too large:
-    it is retried at half the size. When no halving is accepted, the
-    solve stops at the last accepted iterate, unconverged.
+    by Newton's method on the projection's dual, started from the dual
+    of the last accepted projection (the start factors' from 0), retries
+    included. A step whose projection Newton declines is infeasible like
+    one whose residual is too large: it is retried at half the size. When
+    no halving is accepted, the solve stops at the last accepted iterate,
+    unconverged.
 
     Returns:
       A :class:`LowRankOutput` with the factors and the transport-cost
@@ -292,10 +310,10 @@ def solve_lr_sinkhorn(
 
     lq, lr, lg = _initial_factors(prob, rank, seed, cost, log_a, log_b)
     with np.errstate(all="ignore"):
-        start = _newton(lq, lr, lg, a, b)
+        start = _newton(lq, lr, lg, a, b, np.zeros(2 * rank))
     if start is None:
         raise DivergedError("Newton cannot project the low-rank start factors", iteration=0)
-    lq, lr, lg, _ = start
+    lq, lr, lg, _, h = start
     q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
     # cost @ (r / g) is both the transport cost's product and the next
     # step's q-gradient, so each accepted iterate computes it once.
@@ -317,7 +335,7 @@ def solve_lr_sinkhorn(
         # is the answer, unconverged.
         for _ in range(_MAX_BACKOFFS_PER_STEP):
             with np.errstate(all="ignore"):
-                step = _newton(lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b)
+                step = _newton(lq - gamma * grad_q, lr - gamma * grad_r, lg - gamma * grad_g, a, b, h)
             residual = np.inf if step is None else step[3]
             if residual <= _PROJECTION_ACCEPT:
                 break
@@ -327,7 +345,7 @@ def solve_lr_sinkhorn(
                 "lowrank: no acceptable step at iteration %d (residual %.2e); stopping", t, residual
             )
             break
-        lq, lr, lg, _ = step
+        lq, lr, lg, _, h = step
         q, r, g = np.exp(lq), np.exp(lr), np.exp(lg)
         grad_q = cost @ (r / g[None, :])
         costs.append(float(np.sum(q * grad_q)))

@@ -115,10 +115,12 @@ def _resolve_schedule(geom: Geometry, eps) -> EpsilonSchedule:
     return EpsilonSchedule(geom._resolve_eps(eps))
 
 
-def _dual_objective(f, g, a, b, eps, total_mass):
-    with np.errstate(invalid="ignore"):
-        fa = np.where(a > 0, f * a, 0.0).sum()
-        gb = np.where(b > 0, g * b, 0.0).sum()
+def _dual_objective(f, g, a, b, support, eps, total_mass):
+    """<f, a> + <g, b> - eps (total_mass - 1) over ``support``, the masks
+    (a > 0, b > 0): f and g are -inf off them. Callers run it under
+    ``np.errstate(invalid="ignore")``."""
+    fa = np.where(support[0], f * a, 0.0).sum()
+    gb = np.where(support[1], g * b, 0.0).sum()
     return float(fa + gb - eps * (total_mass - 1.0))
 
 
@@ -144,14 +146,17 @@ def solve_sinkhorn(
     a dense cost itself, which is never written. On a kernel the sweeps
     run on the scalings u = exp((f - c)/eps) and v = exp(g/eps): the two
     products, one min and one max over them, u = a / K v and
-    v = b / K^T u. The potentials f = eps log u + c and g = eps log v are
-    formed only at a check, at an eps change, at the end, and when the
-    solve leaves the kernel: when it is declined, and from the first
-    product outside float64's normal range, whose whole sweep is redone
-    from those potentials. From there on the sweeps run in the log
-    domain, which reduces the same blocks one at a time and so holds one
-    ``block_size x m`` block on every backend but grids, which contract
-    per axis.
+    v = b / K^T u. Once eps is at its target, the sweeps between two
+    checks are one call to the kernel step; on the one n x m kernel they
+    run in one loop of those array calls, bitwise the same sweeps. The
+    potentials f = eps log u + c and g = eps log v are formed only at a
+    check, at an eps change, at the end, and when the solve leaves the
+    kernel: when it is declined, and from the first product outside
+    float64's normal range, whose whole sweep is redone from those
+    potentials, inside a run of sweeps too. From there on the sweeps run
+    in the log domain, which reduces the same blocks one at a time and
+    so holds one ``block_size x m`` block on every backend but grids,
+    which contract per axis.
 
     Args:
       prob: the problem to solve.
@@ -188,6 +193,7 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
     duals: list[float] = []
     converged = checking = False
     t = 0
+    support = prob.a > 0, prob.b > 0
     with np.errstate(all="ignore"):
         step = _KernelStep(geom, prob.a, g, prob.b)
         while t < max_iters or checking:
@@ -199,13 +205,17 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
                 row = step.sweep(e, t + 1, check=True)
                 err = float(np.abs(row - prob.a).sum())
                 errors.append(err)
-                duals.append(_dual_objective(f, g, prob.a, prob.b, e, row.sum()))
+                duals.append(_dual_objective(f, g, prob.a, prob.b, support, e, row.sum()))
                 converged = err <= threshold
                 if converged or t == max_iters:
                     break
+                t += 1
             else:
-                step.sweep(e, t + 1)
-            t += 1
+                # Once eps is at its target, the sweeps up to the next
+                # check run in one call.
+                count = 1 if e > target else min((t // inner_iters + 1) * inner_iters, max_iters) - t
+                step.sweep(e, t + 1, count=count)
+                t += count
             # While the schedule warms up, errors are not comparable yet.
             checking = (t % inner_iters == 0 or t == max_iters) and e <= target
         if not checking:
@@ -236,7 +246,8 @@ def transport_matrix(out: SinkhornOutput, prob: LinearProblem) -> Coupling:
 def reg_ot_cost(out: SinkhornOutput, prob: LinearProblem) -> RegOTCost:
     """Primal transport cost <C, P> and dual objective, streamed in row blocks."""
     row_cost, row_mass = prob.geom._transport_rows(out.f, out.g, out.eps)
-    dual = _dual_objective(out.f, out.g, prob.a, prob.b, out.eps, row_mass.sum())
+    with np.errstate(invalid="ignore"):
+        dual = _dual_objective(out.f, out.g, prob.a, prob.b, (prob.a > 0, prob.b > 0), out.eps, row_mass.sum())
     return RegOTCost(float(row_cost.sum()), dual)
 
 

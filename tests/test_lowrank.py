@@ -21,7 +21,7 @@ from otkit import (
 from otkit.geometry import _lse
 
 
-def _dykstra(lk1, lk2, lk3, a, b, max_sweeps):
+def _dykstra(lk1, lk2, lk3, a, b, h=None, *, max_sweeps):
     """The projection by the log-domain Dykstra recursion, the reference.
 
     Alternating scalings with Dykstra correction terms, also flooring g
@@ -30,8 +30,9 @@ def _dykstra(lk1, lk2, lk3, a, b, max_sweeps):
     most ``_PROJECTION_TOL`` or ``max_sweeps`` sweeps are spent. The
     corrections of the two averaged constraints cancel their own
     scalings, and the three corrections of g sum to lk3 minus g, so only
-    the floor's correction is kept. Returns what ``lowrank._newton``
-    returns: the factor logs and the marginal residual.
+    the floor's correction is kept. Newton's start h is not used. Returns
+    what ``lowrank._newton`` returns: the factor logs, the marginal
+    residual and the column scalings' logs, the dual that gives them.
     """
     log_a, log_b = np.log(a), np.log(b)
     ls1, ls2 = _lse(lk1, axis=1), _lse(lk2, axis=1)
@@ -51,7 +52,7 @@ def _dykstra(lk1, lk2, lk3, a, b, max_sweeps):
         err = np.abs(np.exp(lu1 + ls1) - a).sum() + np.abs(np.exp(lu2 + ls2) - b).sum()
         if err <= lowrank._PROJECTION_TOL:
             break
-    return lu1[:, None] + lk1 + lv1, lu2[:, None] + lk2 + lv2, lg, float(err)
+    return lu1[:, None] + lk1 + lv1, lu2[:, None] + lk2 + lv2, lg, float(err), np.concatenate((lv1, lv2))
 
 
 def test_rank_one_cost_is_the_independent_coupling_cost():
@@ -237,13 +238,14 @@ def test_zero_target_weights_keep_zero_factor_rows():
     assert np.all(out.factors.r[2] == 0.0)
 
 
-def _spy(monkeypatch):
-    """Records the arguments and result of every ``lowrank._newton`` call."""
+def _spy(monkeypatch, decline=()):
+    """Records the arguments and result of every ``lowrank._newton`` call;
+    the calls whose 0-based index is in ``decline`` return None instead."""
     calls = []
     original = lowrank._newton
 
     def spy(*args):
-        result = original(*args)
+        result = None if len(calls) in decline else original(*args)
         calls.append((args, result))
         return result
 
@@ -296,7 +298,7 @@ def test_singular_newton_system_takes_the_minimum_norm_step(monkeypatch):
     a = np.array([0.5, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = lowrank._newton(lk, lk, lk3, a, a)
+        got = lowrank._newton(lk, lk, lk3, a, a, np.zeros(4))
     assert got is not None
     assert got[3] <= lowrank._PROJECTION_TOL
     with np.errstate(all="ignore"):
@@ -305,28 +307,54 @@ def test_singular_newton_system_takes_the_minimum_norm_step(monkeypatch):
         assert np.abs(np.exp(x) - np.exp(y)).sum() <= 1e-8
 
 
-def test_a_declined_newton_projection_halves_the_step(monkeypatch, caplog):
-    # One projection of this solve stalls Newton's line search; the step
-    # is retried from the same iterate at half the size.
+def test_a_declined_newton_projection_halves_the_step(monkeypatch):
+    # The fourth step's first projection declines; the step is retried
+    # from the same iterate and the same starting dual at half the size.
     rng = np.random.default_rng(0)
     prob = LinearProblem(PointCloudGeometry(rng.random((5, 2)), rng.random((4, 2))))
-    calls = _spy(monkeypatch)
-    with caplog.at_level(logging.DEBUG, logger="otkit.lowrank"):
-        out = solve_lr_sinkhorn(prob, 3)
-    assert "stalled line search" in caplog.text
+    calls = _spy(monkeypatch, decline={4})
+    out = solve_lr_sinkhorn(prob, 3)
     declined = [k for k, (_, result) in enumerate(calls) if result is None]
-    assert len(declined) == 1
-    k = declined[0]
+    assert declined == [4]
     # Every other call's projection was accepted, so the one before the
-    # decline made the iterate that both the step and its retry start from.
+    # decline made the iterate and the dual that both the step and its
+    # retry start from.
     assert len(calls) == out.iterations + 2
-    iterate = calls[k - 1][1][:3]
-    step, retry = calls[k][0][:3], calls[k + 1][0][:3]
-    for x, long, short in zip(iterate, step, retry):
+    iterate, dual = calls[3][1][:3], calls[3][1][4]
+    step, retry = calls[4][0], calls[5][0]
+    for x, long, short in zip(iterate, step[:3], retry[:3]):
         npt.assert_allclose(x - short, 0.5 * (x - long), rtol=1e-12, atol=1e-15 * np.abs(x).max())
-    assert out.iterations == 50
+    assert step[5] is dual and retry[5] is dual
     assert out.converged
-    assert out.costs[-1] == 0.36828252861924493
+    assert out.iterations == 60
+
+
+def test_a_warm_started_projection_matches_a_cold_started_one(monkeypatch):
+    # Each projection starts from the last accepted projection's dual; the
+    # dual it reaches gives the factors it would reach from h = 0.
+    prob, rank = _bench_problem(), 5
+    calls = _spy(monkeypatch)
+    steps = []
+    for name in ("solve", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            steps.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    out = solve_lr_sinkhorn(prob, rank, threshold=1e-4)
+    assert out.converged and out.iterations == 50
+    assert np.all(calls[0][0][5] == 0.0)
+    # Started from h = 0, the projections of this solve take 264 Newton steps.
+    assert len(steps) <= 160
+    for (args, got), (_, before) in zip(calls[1:], calls):
+        assert args[5] is before[4]
+        with np.errstate(all="ignore"):
+            cold = lowrank._newton(*args[:5], np.zeros(2 * rank))
+        assert got is not None and cold is not None
+        for x, y in zip(got[:3], cold[:3]):
+            assert np.abs(np.exp(x) - np.exp(y)).sum() <= 1e-8
 
 
 def test_weight_sum_mismatch_makes_no_fallback(monkeypatch):
@@ -367,6 +395,9 @@ def test_a_too_large_gamma_backs_off_without_warnings():
     out = solve_lr_sinkhorn(LinearProblem(geom), 2, gamma=1e3, max_iters=50)
     for name in ("q", "r", "g"):
         assert np.all(np.isfinite(getattr(out.factors, name)))
+    # Ten step sizes, down to gamma / 512, all decline: as documented, the
+    # solve stops at the projected start.
+    assert (out.iterations, out.converged, out.costs.shape) == (1, False, (1,))
 
 
 def _cloud_problem():
@@ -393,7 +424,7 @@ def test_running_out_of_acceptable_steps_is_not_convergence(infeasible_after_fir
     assert out.iterations == 2
     assert out.converged is False
     assert out.costs.shape == (2,)
-    lq, lr, lg, _ = infeasible_after_first_step[-1]
+    lq, lr, lg = infeasible_after_first_step[-1][:3]
     for got, logs in zip((out.factors.q, out.factors.r, out.factors.g), (lq, lr, lg)):
         assert got.tobytes() == np.exp(logs).tobytes()
 

@@ -523,6 +523,22 @@ def test_gw_on_an_80_point_rotated_copy_stays_on_the_kernel(lse_calls):
     assert lse_calls == []
 
 
+def watched(kernel, before_product):
+    """A view of ``kernel`` that calls ``before_product()`` before each
+    product taken with it, inline runs included."""
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul:
+                before_product()
+            inputs = tuple(np.asarray(x) for x in inputs)
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(x) for x in out)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return kernel.view(Watched)
+
+
 def test_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain):
     assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, 0.0)
 
@@ -533,7 +549,14 @@ def test_kernel_overflow_mid_run_continues_in_the_log_domain(monkeypatch, lse_ca
     assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, np.finfo(float).max)
 
 
-def assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, entry):
+@pytest.mark.parametrize("entry", [0.0, np.finfo(float).max])
+def test_a_kernel_row_set_inside_a_run_continues_in_the_log_domain(entry, monkeypatch, lse_calls, log_domain):
+    # eps reaches its target at sweep 3, which starts a check-free run of
+    # sweeps 3 to 10; the row is set before sweep 6's first product.
+    assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, entry, sweep=6)
+
+
+def assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_calls, log_domain, entry, sweep=3):
     rng = np.random.default_rng(23)
     geom = PointCloudGeometry(rng.normal(size=(20, 2)), rng.normal(size=(25, 2)))
     prob = LinearProblem(geom)
@@ -541,19 +564,33 @@ def assert_kernel_row_set_mid_run_continues_in_the_log_domain(monkeypatch, lse_c
     eps = EpsilonSchedule(target, init_scale=4.0, decay=0.5)  # kernels at 4, 2, 1 x target
     original = otkit.geometry.Geometry._gibbs
     builds = []
+    products = []
 
     def faulty(self, e, old):
         gibbs = original(self, e, old)
         builds.append(e)
         if len(builds) == 3:
-            gibbs[0][0][0] = entry  # row 0 leaves the range once eps reaches its target
+            kernel = gibbs[0][0]
+            if sweep == 3:
+                kernel[0] = entry  # row 0 leaves the range once eps reaches its target
+            else:
+                # Row 0 is set before the given sweep's first product, two
+                # products per sweep from sweep 3, the target's first.
+                def plant():
+                    products.append(None)
+                    if len(products) == 2 * (sweep - 3) + 1:
+                        kernel[0] = entry
+
+                gibbs = (watched(kernel, plant),), *gibbs[1:]
         return gibbs
 
     monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", faulty)
     calls = lse_calls
     out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
     assert builds == [4 * target, 2 * target, target]
-    assert calls and set(calls) == {"PointCloudGeometry"}
+    # The log domain makes two log-sum-exps per sweep, from that sweep to
+    # the one the last check reads.
+    assert calls == ["PointCloudGeometry"] * 2 * (out.iterations + 2 - sweep)
     assert np.all(np.isfinite(out.f)) and np.all(np.isfinite(out.g))
     log_domain()
     ref = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000)
@@ -594,15 +631,19 @@ def test_streamed_kernel_underflow_mid_run_continues_in_the_log_domain(monkeypat
     npt.assert_allclose(out.errors, ref.errors, rtol=0, atol=1e-12)
 
 
-def counted_sweeps(monkeypatch) -> list:
-    """Makes Sinkhorn's kernel step record each ``sweep`` and each forming
-    of the potentials (``potentials``), in order."""
+def counted_sweeps(monkeypatch, runs=None) -> list:
+    """Makes Sinkhorn's kernel step record each sweep, one entry for each
+    sweep of a run, and each forming of the potentials (``potentials``),
+    in order; and in ``runs``, if given, the number of sweeps each call
+    to ``sweep`` asks for."""
     calls = []
 
     class Counting(otkit.geometry._KernelStep):
-        def sweep(self, *args, **kwargs):
-            calls.append("sweep")
-            return super().sweep(*args, **kwargs)
+        def sweep(self, *args, count=1, **kwargs):
+            calls.extend(["sweep"] * count)
+            if runs is not None:
+                runs.append(count)
+            return super().sweep(*args, count=count, **kwargs)
 
         def potentials(self):
             calls.append("potentials")
@@ -612,14 +653,32 @@ def counted_sweeps(monkeypatch) -> list:
     return calls
 
 
+def counted_kernel_products(monkeypatch) -> list:
+    """Makes every n x m kernel that ``Geometry._gibbs`` builds record
+    each product taken with it."""
+    products = []
+    original = otkit.geometry.Geometry._gibbs
+
+    def counting(self, eps, old):
+        gibbs = original(self, eps, old)
+        if gibbs and len(gibbs[0]) == 1:
+            gibbs = (watched(gibbs[0][0], lambda: products.append("matmul")),), *gibbs[1:]
+        return gibbs
+
+    monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", counting)
+    return products
+
+
 def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(monkeypatch, lse_calls, log_domain):
     # A check reads the next sweep's first product, so a solve returned
-    # after T sweeps makes T + 1 and no other product: on the kernel, one
-    # _sweep each, which makes both products itself; in the log domain,
-    # two log-sum-exps. The potentials are formed once per check, just
-    # before its sweep, and not at the end of a converged solve.
-    calls = counted_sweeps(monkeypatch)
-    products = []
+    # after T sweeps makes T + 1 and no other product: on the kernel, two
+    # products each, made inline by runs of sweeps and checks alike; in
+    # the log domain, two log-sum-exps. The potentials are formed once per
+    # check, just before its sweep, and not at the end of a converged
+    # solve. The sweeps between two checks are one call.
+    runs = []
+    calls = counted_sweeps(monkeypatch, runs)
+    products = counted_kernel_products(monkeypatch)
     for name in ("_sweep", "_contract"):
         original = getattr(otkit.geometry.Geometry, name)
 
@@ -633,6 +692,7 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
     for force, logged in ((lambda: None, False), (log_domain, True)):
         force()
         calls.clear()
+        runs.clear()
         products.clear()
         lse_calls.clear()
         out = solve_sinkhorn(prob, eps, threshold=1e-9, max_iters=5000, inner_iters=10)
@@ -640,8 +700,9 @@ def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(m
         sweeps = out.iterations + 1
         checks = ["sweep"] * 9 + ["potentials", "sweep"]
         assert calls == ["sweep"] + checks * (out.iterations // 10)
+        assert runs == [10] + [1, 9] * (out.iterations // 10 - 1) + [1]
         assert calls.count("sweep") == sweeps and len(out.errors) == out.iterations // 10
-        assert products == ([] if logged else ["_sweep"] * sweeps)
+        assert products == ([] if logged else ["matmul"] * 2 * sweeps)
         assert lse_calls == (["PointCloudGeometry"] * 2 * sweeps if logged else [])
 
 
