@@ -11,6 +11,15 @@ back bitwise for every float64. ``_format_rows`` makes exactly Python's
 "%.17g" bytes with numpy, a block of about 8,000 entries at a time
 (``_csvtext``), instead of formatting each row in Python.
 
+A matrix is read by ``_csvtext.parse_rows``, a chunk of about 128 KB of
+whole lines at a time, into one array sized by the line count: bitwise
+the array np.loadtxt reads. It reads what otkit and np.savetxt write:
+fields ``[-]digits[.digits][(e|E)[+|-]digits]`` between "," and "\\n",
+with empty lines and whole-line "#" comments. It declines anything else
+(whitespace, "\\r", inline comments, inf and nan, a leading "+", ragged
+rows, lines over 1 MiB, compressed bytes), and the file, or the part, is
+then read by np.loadtxt as before, which gives the array or the error.
+
 Large CSV matrices are read and written on every usable core: the file
 is split into row ranges, this process handles the first and forked
 children the rest, with the same parser and row formatter as a small
@@ -48,12 +57,16 @@ __all__ = [
 ]
 
 _CSV = {"delimiter": ",", "comments": "#", "ndmin": 2}
+# np.loadtxt's warning for a text without data rows, which callers report.
+_NO_DATA = "loadtxt: input contained no data"
 # A CSV is split into one part per usable core, each at least this many bytes.
 _MIN_SPLIT_BYTES = 1 << 20
 # Longest "%.17g," entry ("-1.7976931348623157e+308,"): sizes a matrix's text.
 _ENTRY_BYTES = 25
 # Bytes per read when counting lines, or copying a part's file to the output.
 _CHUNK_BYTES = 1 << 20
+# Bytes of text per call of the numpy parser: its arrays stay in cache.
+_PARSE_BYTES = 1 << 17
 
 
 def _parts(size: int) -> int:
@@ -148,22 +161,73 @@ def _data_lines(lines: Iterable[str]) -> Iterator[str]:
     return (line for line in lines if not line.isspace())
 
 
+def _count_lines(raw, start: int, stop: int) -> int:
+    """The lines in bytes [start, stop) of the open file ``raw``, a last
+    one without "\\n" included."""
+    raw.seek(start)
+    lines, last = 0, b"\n"
+    for offset in range(start, stop, _CHUNK_BYTES):
+        chunk = raw.read(min(_CHUNK_BYTES, stop - offset))
+        lines += chunk.count(b"\n")
+        last = chunk[-1:] or last
+    return lines + (last != b"\n")
+
+
+def _parse_chunks(raw, start: int, stop: int, lines: int) -> np.ndarray | None:
+    """The rows in bytes [start, stop) of the open file ``raw``, at most
+    ``lines`` of them, from ``_csvtext.parse_rows``: a chunk of whole lines
+    at a time, each chunk's rows written into one array allocated up front.
+    None when the parser declines a chunk, or the range holds no rows or
+    rows of two lengths."""
+    # Imported on first use, like the row formatter.
+    from . import _csvtext
+
+    raw.seek(start)
+    data, filled, held, offset = None, 0, b"", start
+    while offset < stop:
+        size = min(_PARSE_BYTES, stop - offset)
+        chunk = held + raw.read(size)
+        if len(chunk) < len(held) + size:
+            return None
+        offset += size
+        cut = len(chunk) if offset >= stop else chunk.rfind(b"\n") + 1
+        held = chunk[cut:]
+        if not cut:
+            # A line longer than a chunk waits for the next read; one longer
+            # than _CHUNK_BYTES is left to np.loadtxt.
+            if len(held) > _CHUNK_BYTES:
+                return None
+            continue
+        rows = _csvtext.parse_rows(memoryview(chunk)[:cut])
+        if rows is None:
+            return None
+        if not rows.size:
+            continue
+        if data is None:
+            # A row of n fields takes 2n bytes, the last one 2n - 1.
+            data = np.empty((min(lines, (stop - start + 1) // (2 * rows.shape[1])), rows.shape[1]))
+        if rows.shape[1] != data.shape[1]:
+            return None
+        data[filled : filled + len(rows)] = rows
+        filled += len(rows)
+    return None if data is None else data[:filled]
+
+
 def _parse_range(path: str, start: int, stop: int) -> np.ndarray:
-    """The rows in bytes [start, stop) of ``path``, a run of whole lines.
-    Lines split at "\\n" only; np.loadtxt refuses the "\\r" of any other
-    line break, so such a part fails rather than moving a row."""
+    """The rows in bytes [start, stop) of ``path``, a run of whole lines:
+    from ``_parse_chunks``, or where it declines, from np.loadtxt. Lines
+    split at "\\n" only; np.loadtxt refuses the "\\r" of any other line
+    break, so such a part fails rather than moving a row."""
     with open(path, "rb") as raw:
-        raw.seek(start)
-        lines, last = 0, b"\n"
-        for offset in range(start, stop, _CHUNK_BYTES):
-            chunk = raw.read(min(_CHUNK_BYTES, stop - offset))
-            lines += chunk.count(b"\n")
-            last = chunk[-1:] or last
+        lines = _count_lines(raw, start, stop)
+        data = _parse_chunks(raw, start, stop, lines)
+        if data is not None:
+            return data
         raw.seek(start)
         with io.TextIOWrapper(raw, newline="\n") as text, warnings.catch_warnings():
             # A part without data rows is the caller's to handle, unwarned.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(_data_lines(itertools.islice(text, lines + (last != b"\n"))), **_CSV)
+            warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
+            return np.loadtxt(_data_lines(itertools.islice(text, lines)), **_CSV)
 
 
 def _read_parts(path: str) -> np.ndarray | None:
@@ -201,13 +265,28 @@ def _read_parts(path: str) -> np.ndarray | None:
         return None
 
 
+def _read_whole(path: str) -> np.ndarray | None:
+    """The matrix in ``path`` from ``_parse_chunks`` in this process, or None
+    where it declines or the file cannot be opened. A compressed file
+    declines: its header bytes are outside the parser's grammar."""
+    try:
+        with open(path, "rb") as raw:
+            size = os.fstat(raw.fileno()).st_size
+            return _parse_chunks(raw, 0, size, _count_lines(raw, 0, size))
+    except OSError:
+        return None
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Reads a 2-D array; single-column files come back as (n, 1)."""
     try:
         data = _read_parts(path)
         if data is None:
+            data = _read_whole(path)
+        if data is None:
             # Opened as np.loadtxt opens a path, decompressing by the name.
-            with np.lib.npyio.DataSource(os.curdir).open(path, "rt") as text:
+            with np.lib.npyio.DataSource(os.curdir).open(path, "rt") as text, warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
                 data = np.loadtxt(_data_lines(text), **_CSV)
     except Exception as exc:
         raise ValueError(f"could not parse {path} as CSV: {exc}") from exc

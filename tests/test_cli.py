@@ -1,6 +1,7 @@
 """CLI contract: library round-trips, exit codes, file artifacts."""
 
 import gzip
+import io
 import json
 import logging
 import os
@@ -957,6 +958,21 @@ def test_a_one_process_write_holds_no_more_memory_for_more_rows(tmp_path, monkey
     assert peaks[1] - peaks[0] < 1 << 20
 
 
+def test_a_one_process_read_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch):
+    extra = []
+    for rows in (500, 2000):
+        matrix = np.random.default_rng(rows).random((rows, 1000))
+        one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "m.csv"), matrix)
+        tracemalloc.start()
+        try:
+            data = one_process(monkeypatch, read_matrix, str(tmp_path / "m.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - data.nbytes)
+    assert extra[1] - extra[0] < 1 << 20
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 @pytest.mark.parametrize("parts", [1, 2])
 def test_atomic_writes_give_the_mode_of_open(tmp_path, monkeypatch, umask, mode, parts):
@@ -1061,7 +1077,9 @@ def test_a_whitespace_line_just_after_a_cut_is_skipped(tmp_path, monkeypatch, sp
 
 
 @pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("bad", ["1,2,3", "1.5,x"])
+# Ragged rows, a word, and near misses of the parser's grammar; each has the
+# good rows' five bytes.
+@pytest.mark.parametrize("bad", ["1,2,3", "1.5,x", "1e,22", "--1,2", "1.2.3", "1-2,3", "e5,22", "1,,22"])
 def test_split_read_errors_are_the_one_process_errors(tmp_path, monkeypatch, parts, bad):
     rows = ["1.5,2"] * 60
     size = 6 * len(rows)
@@ -1076,6 +1094,79 @@ def test_split_read_errors_are_the_one_process_errors(tmp_path, monkeypatch, par
     with pytest.raises(ValueError) as split:
         read_matrix(str(path))
     assert str(split.value) == str(whole.value)
+    assert_nothing_left(tmp_path, {"m.csv"})
+
+
+@pytest.fixture
+def parser_calls(monkeypatch) -> list:
+    """Records, in this process, whether each ``_csvtext.parse_rows`` call
+    read its chunk (True) or declined it (False)."""
+    from otkit import _csvtext
+
+    calls, parse_rows = [], _csvtext.parse_rows
+
+    def spy(data):
+        rows = parse_rows(data)
+        calls.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(_csvtext, "parse_rows", spy)
+    return calls
+
+
+def _savetxt(matrix, **kwargs) -> bytes:
+    buffer = io.BytesIO()
+    np.savetxt(buffer, matrix, delimiter=",", **kwargs)
+    return buffer.getvalue()
+
+
+_FINITE_BITS = _RANDOM_BITS[np.isfinite(_RANDOM_BITS)][:48_000].reshape(-1, 200)
+_FIELDS = ["1E5", "1e+05", ".5", "5.", "-0", "007", "1234567890123456789", "12345678901234567891",
+           "0.0012111927264277789", "1e-320", "1e400", "-1e400", "1e-400",
+           # Mantissas over 24 bytes, the point far from their end.
+           "1." + "0" * 60 + "1", "-0." + "0" * 50 + "123e5", "1" * 40 + ".5"]
+# Texts and whether the numpy parser reads them (True) or np.loadtxt does.
+READ_TEXTS = {
+    # FORMAT_MATRICES hold inf or nan, except the powers of ten.
+    **{f"percent-17g-{name}": (_percent_17g(FORMAT_MATRICES[name]).encode(), name == "powers-of-ten")
+       for name in ("random-bits", "edges", "powers-of-ten", "mixed-rows", "single-column")},
+    "percent-17g-finite-bits": (_percent_17g(_FINITE_BITS).encode(), True),
+    # Rows longer than a chunk of the parser, and than 1 MiB.
+    "percent-17g-long-rows": (_percent_17g(_FINITE_BITS.reshape(4, -1)).encode(), True),
+    "percent-17g-longest-row": (_percent_17g(np.tile(_FINITE_BITS.reshape(1, -1), 2)).encode(), False),
+    "savetxt-18e": (_savetxt(_FINITE_BITS[:150]), True),
+    "savetxt-17g-header": (_savetxt(np.random.default_rng(7).normal(size=(50, 7)), fmt="%.17g", header="a,b"), True),
+    "repr": (_lines(np.random.default_rng(8).normal(size=(60, 5)) * 10.0 ** np.arange(-8, 52, 1)[:, None]).encode(),
+             True),
+    "fields": (((",".join(_FIELDS) + "\n") * 3).encode(), True),
+    "one-entry": (b"5", True),
+    "no-final-newline": (SPLIT_TEXTS["no-final-newline"].encode(), True),
+    "crlf": (SPLIT_TEXTS["crlf"].encode(), False),
+    "inline-comments": (SPLIT_TEXTS["comments-and-blanks"].encode(), False),
+    "whitespace-lines": (SPLIT_TEXTS["whitespace-lines"].encode(), False),
+    "inf-and-nan": (b"1.5,inf\n-inf,nan\n" * 20, False),
+}
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("name", list(READ_TEXTS))
+def test_reads_are_np_loadtxt_bitwise(tmp_path, monkeypatch, parser_calls, parts, name):
+    text, parsed = READ_TEXTS[name]
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    lines = [line for line in text.decode().splitlines(keepends=True) if not line.isspace()]
+    expected = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    if parts == 1:
+        data = one_process(monkeypatch, read_matrix, str(path))
+        # In one process every chunk is read, or the reading stops at the
+        # first decline.
+        assert False not in parser_calls[:-1]
+        assert (parser_calls[-1:] == [True]) == parsed
+    else:
+        split_csv(monkeypatch, parts)
+        data = read_matrix(str(path))
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
     assert_nothing_left(tmp_path, {"m.csv"})
 
 
@@ -1159,6 +1250,25 @@ def test_csv_comments_and_vector_shapes_are_accepted(tmp_path, capsys):
     assert abs(payload["transport_cost"] - 0.625) <= 1e-2
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("text", ["", "# a comment\n# and another one\n"], ids=["empty", "comments-only"])
+def test_a_csv_without_data_rows_gives_one_error_line(tmp_path, capsys, monkeypatch, two_point_files, parts, text):
+    _, y = two_point_files
+    x = tmp_path / "empty.csv"
+    x.write_text(text)
+    argv = ["lin", "--x", str(x), "--y", y]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if parts == 1:
+            code, payload, err = one_process(monkeypatch, run, capsys, argv)
+        else:
+            split_csv(monkeypatch, parts)
+            code, payload, err = run(capsys, argv)
+    assert code == 1
+    assert payload is None
+    assert err == f"error: {x} contains no data rows\n"
+
+
 def test_importing_otkit_loads_no_scipy():
     import otkit
 
@@ -1172,6 +1282,23 @@ def test_importing_otkit_loads_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_csv_text_module():
+    # Compiled from source on first use only: a run that reads or writes
+    # no matrix skips it.
+    import otkit
+
+    src = os.path.dirname(os.path.dirname(otkit.__file__))
+    code = "import sys, otkit, otkit.cli; print('otkit._csvtext' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
