@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergedError
 from .geometry import Geometry, _KernelStep
-from .sinkhorn import _as_weights
+from .sinkhorn import _as_count, _as_weights
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +83,7 @@ def solve_barycenter(
         p = exp(log p) has a NaN or +inf entry: eps is too small to
         couple the support at the given costs.
     """
+    max_iters = _as_count(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not (threshold > 0):

@@ -7,10 +7,11 @@ matrix (``cost_matrix``), applies the Gibbs kernel exp(-C/eps) to a
 vector (``apply_kernel``) or in the log domain (``apply_lse_kernel``),
 and builds a solve's kernel (``_gibbs``) and applies it (``_contract``,
 ``_sweep``) for ``_KernelStep``, which holds a solve's iterate and runs
-the Sinkhorn and barycenter sweeps: on a kernel, on the scalings
-u = exp((f - c)/eps) and v = exp(g/eps), forming the potentials f and g
-only at checks, eps changes, the end and a fall to the log domain, and
-on one n x m kernel running the sweeps between two checks in one loop.
+the Sinkhorn and barycenter sweeps in one loop, its product step picked
+once per eps: on a kernel, on the scalings u = exp((f - c)/eps) and
+v = exp(g/eps), forming the potentials f and g only at checks, eps
+changes, the end and a fall to the log domain, and on one n x m kernel,
+stacked iterates included, with two inline matrix products.
 :class:`DenseGeometry` wraps a cost matrix, read in place and never
 written; :class:`PointCloudGeometry` factors its cost once as
 C = A B^T; :class:`GridGeometry` contracts costs that separate over the
@@ -36,6 +37,7 @@ on them up to rounding.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -278,7 +280,7 @@ class Geometry:
         ``floor`` by more than rounding. Up to ``DEFAULT_DENSE_CAP`` entries
         the factors are one n x m matrix (``old``'s, if given), the exp of
         ``_exponent_blocks``; above it they are ``(c, eps)``, and every
-        product recomputes those blocks (``_kernel_blocks``).
+        product recomputes those blocks (``_streamed_blocks``).
         """
         n, m = self.shape
         kernel = None
@@ -310,36 +312,30 @@ class Geometry:
             self._range = float(min(lo)), float(max(hi))
         return self._range
 
-    def _kernel_blocks(self, factors, transpose: bool = False):
-        """``(start, stop, kernel_rows)`` over the row blocks of the kernel
-        from ``_gibbs``, or of its transpose: the n x m kernel as one
-        block, or the streamed one's blocks."""
-        if len(factors) == 1:  # the n x m kernel
-            kernel = factors[0].T if transpose else factors[0]
-            return ((0, kernel.shape[0], kernel),)
-        return self._streamed_blocks(*factors, transpose)
-
     def _streamed_blocks(self, shift: float, eps: float, transpose: bool):
         """The blocks of exp((shift - C)/eps), or of its transpose."""
         n, m = self.shape
         return _exp(self._exponent_blocks(np.full(n, shift), np.zeros(m), eps, transpose))
 
     def _contract(self, factors, v: np.ndarray, axis: str) -> np.ndarray:
-        """K v for ``axis="rows"``, K^T v for ``"cols"``, K from ``_gibbs``."""
+        """K v for ``axis="rows"``, K^T v for ``"cols"``, K the streamed
+        kernel of factors ``(shift, eps)``."""
         out = np.empty(self.shape[0 if axis == "rows" else 1])
-        for start, stop, kernel in self._kernel_blocks(factors, axis == "cols"):
+        for start, stop, kernel in self._streamed_blocks(*factors, axis == "cols"):
             np.matmul(kernel, v, out=out[start:stop])
         return out
 
     def _sweep(self, factors, v: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """u = a / K v, with K v written into ``out[..., :n]`` and K^T u into
-        ``out[..., n:]``, K from ``_gibbs``: the two products of one Sinkhorn
-        sweep in scaling form, from one pass over the kernel's row blocks.
-        ``v`` and ``a`` may stack problems along a leading axis."""
+        ``out[..., n:]``, K the streamed kernel of factors ``(shift, eps)``:
+        the two products of one Sinkhorn sweep in scaling form, from one pass
+        over the kernel's row blocks. ``v`` and ``a`` may stack problems
+        along a leading axis. ``_KernelStep`` makes them itself on an n x m
+        kernel."""
         n = self.shape[0]
         kv, ktu = out[..., :n], out[..., n:]
         u = np.empty_like(kv)
-        for start, stop, kernel in self._kernel_blocks(factors):
+        for start, stop, kernel in self._streamed_blocks(*factors, False):
             kv_rows = np.matmul(v, kernel.T, out=kv[..., start:stop])
             u_rows = np.divide(a[..., start:stop], kv_rows, out=u[..., start:stop])
             # The first block's term starts the sum, bitwise 0 + term: no
@@ -386,26 +382,29 @@ class _KernelStep:
     columns itself, from ``col_logs`` and ``col_marginal``, through
     ``set_cols``. Callers run it under ``np.errstate(all="ignore")``.
 
-    A call may ask for a run of sweeps with no check between them. For
-    one problem with its ``b``, on the one n x m kernel of a geometry
-    whose ``_sweep`` is the base one, ``_run`` makes the sweeps inline:
-    ``_sweep``'s products, the range check and v = b / K^T u, bitwise the
-    same sweeps as one call each. Streamed kernels, grids, stacked
-    problems and the log domain make one sweep after another.
+    A call may ask for a run of sweeps with no check between them, which
+    one loop makes, bitwise the same sweeps as one call each. Its product
+    step is chosen once per eps (``_set_eps``): on the one n x m kernel of
+    a geometry whose ``_sweep`` is the base one, stacked problems
+    included, ``_sweep``'s products as two inline matmuls; ``_sweep``
+    itself on streamed kernels and grids; the log domain where the kernel
+    is declined.
     """
 
     def __init__(self, geom: Geometry, a: np.ndarray, g: np.ndarray, b: np.ndarray | None = None):
         self.geom, self.a, self.b = geom, a, b
         self.log_a, self.log_b = np.log(a), None if b is None else np.log(b)
         # gibbs is () before the first build and None in the log domain;
-        # kernel is the n x m kernel that ``_run`` sweeps on, or None.
-        self.gibbs, self.eps, self.kernel = (), None, None
+        # product is the product step on its kernel, or None.
+        self.gibbs, self.eps, self.product = (), None, None
         # Potentials, and on a kernel the scalings; u and f stay None
         # until the first sweep makes them.
         self.f, self.g, self.u, self.v = None, g, None, None
         self.back = None  # eps log(K^T e^{f/eps}) of a log-domain sweep
         self.n = geom.shape[0]
+        # A sweep's products K v and K^T u, and views of each.
         self.products = np.empty(a.shape[:-1] + (self.n + geom.shape[1],))
+        self.kv, self.cols = self.products[..., : self.n], self.products[..., self.n :]
 
     def sweep(self, eps: float, t: int, check: bool = False, count: int = 1) -> np.ndarray | None:
         """Makes sweeps t to t + count - 1, each f = eps log a -
@@ -415,17 +414,13 @@ class _KernelStep:
         changed: u times the first product."""
         if eps != self.eps:
             self._set_eps(eps)
-        stop, row = t + count, None
-        if self.kernel is not None:
-            t, row = self._run(t, stop, check)
-        for t in range(t, stop):
+        products, row = self.products, None
+        for t in range(t, t + count):
             if self.gibbs:
-                factors, _, floor = self.gibbs
-                out = self.products
-                u = self.geom._sweep(factors, self.v, self.a, out)
+                u = self.product(self.v)
                 # Both products lie in [floor, inf), NaN-free.
-                if out.min() >= floor and out.max() < np.inf:
-                    row = self.u * out[..., : self.n] if check else None
+                if products.min() >= self.gibbs[2] and products.max() < np.inf:
+                    row = self.u * self.kv if check else None
                     self.u = u
                 else:
                     self._leave(t)
@@ -438,36 +433,12 @@ class _KernelStep:
                 self.set_cols(self.b, self.log_b)
         return row
 
-    def _run(self, t: int, stop: int, check: bool) -> tuple:
-        """Sweeps t to stop - 1 on ``kernel``, each ``_sweep``'s products
-        K v and K^T u, the range check and v = b / K^T u, up to the first
-        sweep whose products leave the range, which leaves the kernel.
-        Returns that sweep, or stop, and with ``check`` the row marginal."""
-        kernel, floor = self.kernel, self.gibbs[2]
-        kernel_t, a, b = kernel.T, self.a, self.b
-        out = self.products
-        kv, ktu = out[: self.n], out[self.n :]
-        u, v, row = self.u, self.v, None
-        for t in range(t, stop):
-            np.matmul(v, kernel_t, out=kv)
-            u_next = np.divide(a, kv)
-            np.matmul(u_next, kernel, out=ktu)
-            if not (out.min() >= floor and out.max() < np.inf):
-                self.u, self.v = u, v
-                self._leave(t)
-                return t, None
-            if check:
-                row = u * kv
-            u, v = u_next, b / ktu
-        self.u, self.v = u, v
-        return stop, row
-
     def _leave(self, t: int) -> None:
         """Forms the potentials of the iterate and leaves the kernel for
         the log domain, at sweep t."""
         logger.debug("kernel step: a product left the normal range at iteration %d; continuing in the log domain", t)
         self.f, self.g = self.potentials()
-        self.gibbs = self.kernel = None
+        self.gibbs = self.product = None
 
     def potentials(self) -> tuple:
         """``(f, g)`` of the iterate; f is None before the first sweep."""
@@ -476,38 +447,48 @@ class _KernelStep:
         eps, shift = self.eps, self.gibbs[1]
         return None if self.u is None else eps * np.log(self.u) + shift, eps * np.log(self.v)
 
-    def col_products(self) -> np.ndarray:
-        """The last sweep's second product K^T (a / K v), on a kernel."""
-        return self.products[..., self.n :]
-
     def col_logs(self) -> np.ndarray:
         """log(K^T e^{f/eps}) of the last sweep."""
-        return np.log(self.col_products()) if self.gibbs else self.back / self.eps
+        return np.log(self.cols) if self.gibbs else self.back / self.eps
 
     def col_marginal(self) -> np.ndarray:
         """Column marginal of the last sweep's f with the g before it."""
-        return self.v * self.col_products() if self.gibbs else np.exp((self.g + self.back) / self.eps)
+        return self.v * self.cols if self.gibbs else np.exp((self.g + self.back) / self.eps)
 
     def set_cols(self, b: np.ndarray, log_b: np.ndarray) -> None:
         """g = eps log b - eps log(K^T e^{f/eps}), from the last sweep."""
         if self.gibbs:
-            self.v = b / self.col_products()
+            self.v = b / self.cols
         else:
             self.g = self.eps * log_b - self.back
 
     def _set_eps(self, eps: float) -> None:
-        """Rebuilds the kernel at eps, and the scalings from the potentials."""
+        """Rebuilds the kernel at eps, the scalings from the potentials, and
+        the product step."""
         if self.gibbs:
             self.f, self.g = self.potentials()
         if self.gibbs is not None:
             self.gibbs = self.geom._gibbs(eps, self.gibbs)
-        self.eps, self.kernel = eps, None
-        if self.gibbs:
-            self.v = np.exp(self.g / eps)
-            self.u = None if self.f is None else np.exp((self.f - self.gibbs[1]) / eps)
-            one_kernel = len(self.gibbs[0]) == 1 and type(self.geom)._sweep is Geometry._sweep
-            if one_kernel and self.b is not None and self.a.ndim == 1:
-                self.kernel = self.gibbs[0][0]
+        self.eps, self.product = eps, None
+        if not self.gibbs:
+            return
+        self.v = np.exp(self.g / eps)
+        self.u = None if self.f is None else np.exp((self.f - self.gibbs[1]) / eps)
+        factors, geom = self.gibbs[0], self.geom
+        if len(factors) > 1 or type(geom)._sweep is not Geometry._sweep:
+            self.product = functools.partial(geom._sweep, factors, a=self.a, out=self.products)
+            return
+        # On the one n x m kernel, _sweep's three array calls inline: on a
+        # small kernel, a call to _sweep and its block loop costs more.
+        kernel, kernel_t, a, kv, cols = factors[0], factors[0].T, self.a, self.kv, self.cols
+
+        def product(v):
+            np.matmul(v, kernel_t, out=kv)
+            u = np.divide(a, kv)
+            np.matmul(u, kernel, out=cols)
+            return u
+
+        self.product = product
 
     def _lse(self, p: np.ndarray, eps: float, axis: str, t: int) -> np.ndarray:
         zeros = np.zeros(self.geom.shape[0 if axis == "rows" else 1])

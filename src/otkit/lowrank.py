@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import operator
 
 import numpy as np
 
 from .errors import DivergedError
 from .geometry import DEFAULT_EPSILON_SCALE
-from .sinkhorn import Coupling, LinearProblem, solve_sinkhorn
+from .sinkhorn import Coupling, LinearProblem, _as_count, solve_sinkhorn
 
 logger = logging.getLogger(__name__)
 
@@ -284,22 +283,20 @@ def solve_lr_sinkhorn(
       trace (one entry per iterate, starting with the initial point).
 
     Raises:
-      ValueError: on a rank that is not an integer, or a rank, gamma,
-        threshold or iteration cap out of range.
+      ValueError: on a rank or iteration count that is not an integer,
+        or a rank, gamma, threshold or iteration cap out of range.
       DivergedError: if Newton cannot project the start factors, so that
         there is no feasible iterate to return; its ``iteration`` is 0.
     """
     n, m = prob.geom.shape
-    try:
-        rank = operator.index(rank)
-    except TypeError:
-        raise ValueError(f"rank must be an integer, got {rank!r}") from None
+    rank = _as_count(rank, "rank")
     if rank < 1 or rank > min(n, m):
         raise ValueError(f"rank must lie in [1, {min(n, m)}], got {rank}")
     if gamma is not None and not (0 < gamma < np.inf):
         raise ValueError(f"gamma must be positive and finite, got {float(gamma)}")
     if not (threshold > 0):
         raise ValueError("threshold must be positive")
+    max_iters, inner_iters = _as_count(max_iters, "max_iters"), _as_count(inner_iters, "inner_iters")
     if max_iters < 1 or inner_iters < 1:
         raise ValueError("max_iters and inner_iters must be >= 1")
     cost = prob.geom.cost_matrix()

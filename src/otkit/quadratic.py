@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergedError
 from .geometry import DenseGeometry, Geometry
-from .sinkhorn import Coupling, LinearProblem, _as_weights, _sinkhorn_iterations, transport_matrix
+from .sinkhorn import Coupling, LinearProblem, _as_count, _as_weights, _sinkhorn_iterations, transport_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +145,7 @@ def solve_gw(
       DivergedError: when an inner solve blows up; the iteration index
         reported is the outer step.
     """
+    outer_iters = _as_count(outer_iters, "outer_iters")
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
     if not (outer_threshold > 0):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,15 @@ __all__ = [
     "grad_weights",
     "grad_points",
 ]
+
+
+def _as_count(value, name: str) -> int:
+    """An iteration count or size as an int; numpy integers pass, and
+    anything ``operator.index`` refuses is a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_weights(w: np.ndarray | None, size: int, name: str) -> np.ndarray:
@@ -147,16 +157,17 @@ def solve_sinkhorn(
     run on the scalings u = exp((f - c)/eps) and v = exp(g/eps): the two
     products, one min and one max over them, u = a / K v and
     v = b / K^T u. Once eps is at its target, the sweeps between two
-    checks are one call to the kernel step; on the one n x m kernel they
-    run in one loop of those array calls, bitwise the same sweeps. The
-    potentials f = eps log u + c and g = eps log v are formed only at a
-    check, at an eps change, at the end, and when the solve leaves the
-    kernel: when it is declined, and from the first product outside
-    float64's normal range, whose whole sweep is redone from those
-    potentials, inside a run of sweeps too. From there on the sweeps run
-    in the log domain, which reduces the same blocks one at a time and
-    so holds one ``block_size x m`` block on every backend but grids,
-    which contract per axis.
+    checks are one call to the kernel step, whose one loop makes every
+    sweep, bitwise the same sweeps as one call each; its product step is
+    picked once per eps, two inline matrix products on the one n x m
+    kernel. The potentials f = eps log u + c and g = eps log v are
+    formed only at a check, at an eps change, at the end, and when the
+    solve leaves the kernel: when it is declined, and from the first
+    product outside float64's normal range, whose whole sweep is redone
+    from those potentials, inside a run of sweeps too. From there on the
+    sweeps run in the log domain, which reduces the same blocks one at a
+    time and so holds one ``block_size x m`` block on every backend but
+    grids, which contract per axis.
 
     Args:
       prob: the problem to solve.
@@ -181,6 +192,7 @@ def solve_sinkhorn(
 
 
 def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -> SinkhornOutput:
+    max_iters, inner_iters = _as_count(max_iters, "max_iters"), _as_count(inner_iters, "inner_iters")
     if max_iters < 1 or inner_iters < 1:
         raise ValueError("max_iters and inner_iters must be >= 1")
     if not (threshold > 0):

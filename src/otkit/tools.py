@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DenseGeometry, PointCloudGeometry
-from .sinkhorn import LinearProblem, _as_weights, solve_sinkhorn, transport_matrix
+from .sinkhorn import LinearProblem, _as_count, _as_weights, solve_sinkhorn, transport_matrix
 
 __all__ = [
     "SoftSortSpec",
@@ -47,7 +47,7 @@ class SoftSortSpec:
     squash: str = "minmax"
 
     def __post_init__(self):
-        if self.num_targets is not None and self.num_targets < 1:
+        if self.num_targets is not None and _as_count(self.num_targets, "num_targets") < 1:
             raise ValueError("num_targets must be >= 1")
         if not (0 < self.eps < np.inf):
             raise ValueError(f"eps must be positive and finite, got {float(self.eps)}")

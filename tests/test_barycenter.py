@@ -15,6 +15,7 @@ from otkit import (
     solve_barycenter,
 )
 from otkit.errors import DivergedError
+from test_sinkhorn import watched
 
 
 def line_geometry(num_points):
@@ -184,6 +185,41 @@ def test_kernel_path_matches_the_log_domain(name, scale, monkeypatch, lse_calls,
     assert len(lse_calls) > 0
     assert (fast.iterations, fast.converged) == (ref.iterations, ref.converged)
     npt.assert_allclose(fast.barycenter, ref.barycenter, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry", [0.0, np.finfo(float).max])
+def test_a_kernel_row_set_mid_solve_continues_in_the_log_domain(entry, monkeypatch, lse_calls, log_domain):
+    # The stacked iterates sweep on the dense problem's n x m kernel. Its
+    # row 0 is set before sweep 5's first product, which then leaves
+    # float64's normal range: the solve goes on in the log domain from the
+    # iterate before that sweep.
+    bp = kernel_path_problems()["dense"]
+    k = bp.histograms.shape[0]
+    eps = 5e-2 * bp.geom.mean_cost()
+    sweep = 5
+    original = otkit.geometry.Geometry._gibbs
+    products = []
+
+    def faulty(self, e, old):
+        gibbs = original(self, e, old)
+        kernel = gibbs[0][0]
+
+        def plant():
+            products.append(None)
+            if len(products) == 2 * (sweep - 1) + 1:
+                kernel[0] = entry
+
+        return (watched(kernel, plant),), *gibbs[1:]
+
+    monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", faulty)
+    out = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
+    assert len(products) == 2 * sweep and out.iterations > sweep
+    # Two log-sum-exps per histogram and sweep, from that sweep on.
+    assert lse_calls == ["DenseGeometry"] * 2 * k * (out.iterations - sweep + 1)
+    log_domain()
+    ref = solve_barycenter(bp, eps, threshold=1e-7, max_iters=5000)
+    assert (out.iterations, out.converged) == (ref.iterations, ref.converged)
+    npt.assert_allclose(out.barycenter, ref.barycenter, rtol=0, atol=1e-12)
 
 
 def test_problem_validation():

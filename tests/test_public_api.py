@@ -3,6 +3,7 @@ and the public methods of the geometries. Everything below it may change."""
 
 import inspect
 
+import numpy as np
 import pytest
 
 import otkit
@@ -99,3 +100,39 @@ def test_geometry_public_methods_are_unchanged(cls):
             continue
         methods[name] = "property" if isinstance(attr, property) else bare_signature(attr)
     assert methods == GEOMETRY_METHODS
+
+
+def count_call_args():
+    """name -> the positional arguments of a small call to that export."""
+    x = np.linspace(0.0, 1.0, 4)[:, None]
+    cloud = otkit.PointCloudGeometry(x, x)
+    lin = otkit.LinearProblem(otkit.PointCloudGeometry(x, x + 0.5))
+    return {
+        "solve_sinkhorn": (lin,),
+        "solve_barycenter": (otkit.BarycenterProblem(cloud, np.full((2, 4), 0.25)),),
+        "solve_gw": (otkit.QuadraticProblem(cloud, cloud),),
+        "solve_lr_sinkhorn": (lin, 2),
+        "SoftSortSpec": (),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, keyword",
+    [
+        ("solve_sinkhorn", "max_iters"),
+        ("solve_sinkhorn", "inner_iters"),
+        ("solve_barycenter", "max_iters"),
+        ("solve_gw", "outer_iters"),
+        ("solve_lr_sinkhorn", "max_iters"),
+        ("solve_lr_sinkhorn", "inner_iters"),
+        ("SoftSortSpec", "num_targets"),
+    ],
+)
+def test_iteration_counts_must_be_integers(name, keyword):
+    # A float count is refused by name, even an integral one; a numpy
+    # integer is a count.
+    call, args = getattr(otkit, name), count_call_args()[name]
+    for value in (2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^{keyword} must be an integer, got {value!r}$"):
+            call(*args, **{keyword: value})
+    call(*args, **{keyword: np.int64(3)})

@@ -1,5 +1,6 @@
 """Entropic solver: pinned examples, feasibility, duality, gradients."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -525,7 +526,7 @@ def test_gw_on_an_80_point_rotated_copy_stays_on_the_kernel(lse_calls):
 
 def watched(kernel, before_product):
     """A view of ``kernel`` that calls ``before_product()`` before each
-    product taken with it, inline runs included."""
+    product taken with it, inline products included."""
 
     class Watched(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -667,6 +668,44 @@ def counted_kernel_products(monkeypatch) -> list:
 
     monkeypatch.setattr(otkit.geometry.Geometry, "_gibbs", counting)
     return products
+
+
+@pytest.mark.parametrize(
+    "name, inline",
+    [("cloud-sqeucl", True), ("streamed-sqeucl", False), ("grid", False), ("dense-stacked", True), ("log-domain", None)],
+)
+def test_a_run_of_sweeps_is_bitwise_one_sweep_per_call(name, inline, monkeypatch, log_domain):
+    # Every product step: inline on the n x m kernel, stacked problems
+    # too; the geometry's _sweep on a streamed cloud and a grid; the log
+    # domain. Seven sweeps in one call and one per call leave the same
+    # iterate, products and check row.
+    prob, eps = fast_path_cases()[{"dense-stacked": "dense-negative", "log-domain": "cloud-sqeucl"}.get(name, name)]
+    a, b = prob.a, prob.b
+    if name.startswith("streamed-"):
+        monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", STREAMED_CAP)
+    if name == "dense-stacked":
+        rng = np.random.default_rng(32)
+        a = np.stack([sparse_weights(rng, a.size) for _ in range(3)])
+        b = np.stack([sparse_weights(rng, b.size) for _ in range(3)])
+    if name == "log-domain":
+        log_domain()
+    with np.errstate(all="ignore"):
+        steps = [otkit.geometry._KernelStep(prob.geom, a, np.zeros(b.shape), b) for _ in range(2)]
+        steps[0].sweep(eps, 1, count=7)
+        for t in range(1, 8):
+            steps[1].sweep(eps, t)
+        rows = [step.sweep(eps, 8, check=True) for step in steps]
+        potentials = [step.potentials() for step in steps]
+    run, one = steps
+    if inline is None:
+        assert run.gibbs is None and one.gibbs is None
+        npt.assert_array_equal(run.back, one.back)
+    else:
+        assert isinstance(run.product, functools.partial) != inline
+        npt.assert_array_equal(run.products, one.products)
+    npt.assert_array_equal(rows[0], rows[1])
+    for p, q in zip(*potentials):
+        npt.assert_array_equal(p, q)
 
 
 def test_a_solve_makes_one_sweep_per_iteration_and_one_more_for_its_last_check(monkeypatch, lse_calls, log_domain):
