@@ -251,19 +251,20 @@ def _format_block(x: np.ndarray, start: int, cols: int, slots: np.ndarray) -> by
     return text_bytes[t.keep.take(head_index * 18 + sig, axis=0)].tobytes()
 
 
-def format_rows(rows: np.ndarray) -> Iterator[str]:
+def format_rows(rows: np.ndarray) -> Iterator[bytes]:
     """The CSV text of the 2-D float64 array ``rows``, "%.17g" of every
-    entry, yielded a block of at most ``_BLOCK_ENTRIES`` entries at a time."""
+    entry, yielded as ASCII bytes a block of at most ``_BLOCK_ENTRIES``
+    entries at a time."""
     cols = rows.shape[1]
     if not cols:
-        yield "\n" * len(rows)
+        yield b"\n" * len(rows)
         return
     slots = np.empty((min(_BLOCK_ENTRIES, rows.size), 4), dtype="<u8")
     step = max(1, _BLOCK_ENTRIES // cols)
     for i in range(0, len(rows), step):
         flat = rows[i : i + step].ravel()
         for start in range(0, flat.size, _BLOCK_ENTRIES):
-            yield _format_block(flat[start : start + _BLOCK_ENTRIES], start, cols, slots).decode("ascii")
+            yield _format_block(flat[start : start + _BLOCK_ENTRIES], start, cols, slots)
 
 
 # ---- reading ----

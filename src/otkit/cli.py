@@ -35,13 +35,14 @@ from .fileio import (
     read_vector,
     write_json_atomic,
     write_matrix_atomic,
+    write_rows_atomic,
     write_text_atomic,
 )
 from .geometry import COST_FNS, DenseGeometry, GridGeometry, PointCloudGeometry
 from .lowrank import lr_coupling, solve_lr_sinkhorn
 from .quadratic import QuadraticProblem, solve_gw
 from .reference import exact_gw_2x2, exact_lp_uniform
-from .sinkhorn import LinearProblem, _as_weights, reg_ot_cost, solve_sinkhorn, transport_matrix
+from .sinkhorn import LinearProblem, _as_weights, reg_ot_cost, solve_sinkhorn
 from .tools import SoftSortSpec, _soft_sort_rank, gmm_distance
 
 logger = logging.getLogger(__name__)
@@ -124,7 +125,7 @@ def _cmd_lin(args) -> dict:
     else:
         geom = PointCloudGeometry(read_matrix(args.x), read_matrix(args.y), args.cost)
     if args.coupling_out:
-        # Only this flag needs the dense coupling; above the cap, refuse
+        # Only this flag writes the n x m coupling; above the cap, refuse
         # (exit 1) before solving.
         geom._check_cap(None)
     n, m = geom.shape
@@ -157,9 +158,15 @@ def _cmd_lin(args) -> dict:
     }
     if args.verify:
         payload["verify"] = _verify_lin(geom, prob, payload["transport_cost"])
-    if args.coupling_out:
-        coupling = lr_coupling(out.factors) if args.solver == "lr" else transport_matrix(out, prob)
-        write_matrix_atomic(args.coupling_out, coupling.matrix)
+    if args.solver == "lr" and args.coupling_out:
+        write_matrix_atomic(args.coupling_out, lr_coupling(out.factors).matrix)
+    elif args.coupling_out:
+        # Each part of the write makes its own rows of the coupling from the
+        # potentials, a block at a time: nothing n x m is allocated.
+        def plan_rows(start, stop):
+            return (rows for _, _, rows in geom._plan_blocks(out.f, out.g, out.eps, rows=(start, stop)))
+
+        write_rows_atomic(args.coupling_out, geom.shape, plan_rows)
     return payload
 
 

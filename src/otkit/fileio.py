@@ -27,12 +27,20 @@ file, so the arrays read and the bytes written do not change. A read
 whose part does not parse cleanly is parsed again whole in one process,
 which gives the one-process result or error. Every child is reaped, on
 every path, and leaves no file behind.
+
+A matrix is written from a row source (``write_rows_atomic``): a function
+of a row range that yields those rows a block at a time, so each part
+makes its own rows and the matrix need not exist whole; the CLI writes a
+Sinkhorn coupling from its potentials this way, and
+``write_matrix_atomic`` feeds the same writer slices of its matrix. Each
+child writes its rows' text, as bytes, to its own unnamed temp file, and
+this process appends the files to the output in row order with
+``os.sendfile``, in the kernel, so no part's text passes through Python.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -54,6 +62,7 @@ __all__ = [
     "write_text_atomic",
     "write_json_atomic",
     "write_matrix_atomic",
+    "write_rows_atomic",
 ]
 
 _CSV = {"delimiter": ",", "comments": "#", "ndmin": 2}
@@ -63,7 +72,8 @@ _NO_DATA = "loadtxt: input contained no data"
 _MIN_SPLIT_BYTES = 1 << 20
 # Longest "%.17g," entry ("-1.7976931348623157e+308,"): sizes a matrix's text.
 _ENTRY_BYTES = 25
-# Bytes per read when counting lines, or copying a part's file to the output.
+# Bytes per read when counting lines, and per os.sendfile call appending a
+# part's file to the output.
 _CHUNK_BYTES = 1 << 20
 # Bytes of text per call of the numpy parser: its arrays stay in cache.
 _PARSE_BYTES = 1 << 17
@@ -122,9 +132,13 @@ def _forked(parts: int, work: Callable, **spool) -> Iterator[Callable]:
                     for k in range(1, parts):
                         with warnings.catch_warnings():
                             # Python 3.12+ warns on fork with other threads
-                            # (OpenBLAS keeps some). A child runs only the row
-                            # formatter or the parser: no BLAS, logging or
-                            # stdio, so it needs no lock another thread holds.
+                            # (OpenBLAS keeps some). A child runs the parser,
+                            # or a row source and the row formatter: no
+                            # logging or stdio, so it needs no lock another
+                            # thread holds. A point cloud's rows are BLAS
+                            # products, and OpenBLAS stops its threads before
+                            # a fork (pthread_atfork) and starts them again
+                            # on its next call.
                             warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
                             pid = os.fork()
                         if pid == 0:
@@ -333,11 +347,13 @@ def _create_temp(directory: str) -> tuple[int, str]:
             continue
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+def _write_atomic(path: str, write: Callable) -> None:
+    """``write(handle)`` on a new binary temp file beside ``path``, then
+    renamed to ``path``; the temp file is removed if anything raises."""
     fd, tmp_path = _create_temp(os.path.dirname(os.path.abspath(path)))
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
@@ -345,17 +361,17 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    _write_atomic(path, [text])
+    _write_atomic(path, lambda handle: handle.write(text.encode()))
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    _write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _format_rows(rows: np.ndarray) -> Iterator[str]:
-    """The CSV text of ``rows``, "%.17g" of every entry, yielded a block of
-    entries at a time: 17 significant digits, which read back bitwise for
-    every float64."""
+def _format_rows(rows: np.ndarray) -> Iterator[bytes]:
+    """The CSV text of ``rows``, "%.17g" of every entry, yielded as bytes a
+    block of entries at a time: 17 significant digits, which read back
+    bitwise for every float64."""
     # Imported on first use: importing otkit, and a run that writes no
     # matrix, then skip compiling and loading it, some 5 ms where no
     # bytecode is cached.
@@ -364,21 +380,40 @@ def _format_rows(rows: np.ndarray) -> Iterator[str]:
     return _csvtext.format_rows(rows)
 
 
+def _append(handle, part) -> None:
+    """Appends the file ``part`` to the binary file ``handle`` with
+    ``os.sendfile``, which copies its bytes in the kernel."""
+    handle.flush()
+    offset = 0
+    while sent := os.sendfile(handle.fileno(), part.fileno(), offset, _CHUNK_BYTES):
+        offset += sent
+
+
+def write_rows_atomic(path: str, shape: tuple[int, int], source: Callable[[int, int], Iterable[np.ndarray]]) -> None:
+    """Writes the CSV text of an n x m matrix, ``shape``, from a row source:
+    ``source(start, stop)`` yields its rows [start, stop) in order, a block
+    of rows at a time, so the matrix need never exist whole.
+
+    The rows are split into one range per part (``_parts``); this process
+    writes the first range into the temp file and forked children the
+    others, each into its own file of bytes, which is then appended to the
+    temp file in row order."""
+    n, m = shape
+    bounds = np.linspace(0, n, _parts(n * m * _ENTRY_BYTES) + 1).astype(int)
+
+    def write_range(k, file):
+        for rows in source(bounds[k], bounds[k + 1]):
+            file.writelines(_format_rows(rows))
+
+    def write(handle):
+        with _forked(len(bounds) - 1, write_range, dir=os.path.dirname(os.path.abspath(path))) as collect:
+            write_range(0, handle)
+            for k in range(1, len(bounds) - 1):
+                _append(handle, collect(k))
+
+    _write_atomic(path, write)
+
+
 def write_matrix_atomic(path: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    bounds = np.linspace(0, len(matrix), _parts(matrix.size * _ENTRY_BYTES) + 1).astype(int)
-    ranges = [matrix[start:stop] for start, stop in zip(bounds, bounds[1:])]
-
-    def format_range(k, file):
-        file.writelines(_format_rows(ranges[k]))
-
-    # Each part's text goes to its own file, then into the temp file in row
-    # order, a chunk at a time: the text never exists whole.
-    with _forked(len(ranges), format_range, mode="w+", dir=os.path.dirname(os.path.abspath(path))) as collect:
-
-        def chunks():
-            yield from _format_rows(ranges[0])
-            for k in range(1, len(ranges)):
-                yield from iter(functools.partial(collect(k).read, _CHUNK_BYTES), "")
-
-        _write_atomic(path, chunks())
+    write_rows_atomic(path, matrix.shape, lambda start, stop: [matrix[start:stop]])

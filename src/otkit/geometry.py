@@ -24,7 +24,9 @@ array. The base version adds f_i + g_j, then subtracts the cost rows and
 divides by eps; squared-Euclidean and cosine clouds take each block from
 one product of factors augmented with f and g. Coupling reductions
 exponentiate the blocks (``_plan_blocks``), and the log domain reduces
-each in place, so neither holds more than one block. A solve's kernel is
+each in place, so neither holds more than one block; ``_plan_blocks``
+also makes just the rows of a range, from the same whole blocks, which
+is how each part of ``otkit lin --coupling-out`` writes its own rows. A solve's kernel is
 exp((c - C)/eps), c the midrange of C, which is scanned once per
 geometry: one n x m matrix written from the blocks up to
 ``DEFAULT_DENSE_CAP`` entries, and above it the blocks again at every
@@ -89,6 +91,17 @@ def _exp(blocks):
     """Exponentiates each block ``(start, stop, rows)`` in place."""
     for start, stop, rows in blocks:
         yield start, stop, np.exp(rows, out=rows)
+
+
+def _row_sums(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(<C_i, P_i>, sum_j P_ij)`` over n rows from the blocks
+    ``(start, stop, cost_rows, plan_rows)``; the plan rows are overwritten."""
+    row_cost, row_mass = np.empty(n), np.empty(n)
+    for start, stop, cost, plan in blocks:
+        row_mass[start:stop] = plan.sum(axis=1)
+        plan *= cost
+        row_cost[start:stop] = plan.sum(axis=1)
+    return row_cost, row_mass
 
 
 def _check_axis(axis: str) -> None:
@@ -223,54 +236,62 @@ class Geometry:
             checked.append(p)
         return tuple(checked)
 
-    def _blocks(self, n: int, m: int, into=None):
+    def _blocks(self, n: int, m: int, into=None, rows=None):
         """Yields ``(start, stop, out)`` over blocks of ``block_size`` rows of
-        an n x m array: rows of ``into`` if given, else of one reused buffer."""
+        an n x m array: rows of ``into`` if given, else of one reused buffer.
+        Given ``rows = (lo, hi)``, only the whole blocks that hold a row in
+        [lo, hi)."""
+        lo, hi = (0, n) if rows is None else rows
         buffer = np.empty((min(self.block_size, n), m)) if into is None else None
-        for start in range(0, n, self.block_size):
+        for start in range(lo - lo % self.block_size, hi, self.block_size):
             stop = min(start + self.block_size, n)
             yield start, stop, buffer[: stop - start] if into is None else into[start:stop]
 
-    def _cost_blocks(self, transpose: bool = False, into=None):
-        """Yields ``(start, stop, cost_rows)`` over the row blocks of C, or of
-        C^T when ``transpose``, to read: in ``into`` if given, else views of
-        a stored C or one reused buffer."""
+    def _cost_blocks(self, transpose: bool = False, into=None, rows=None):
+        """Yields ``(start, stop, cost_rows)`` over the row blocks (``_blocks``)
+        of C, or of C^T when ``transpose``, to read: in ``into`` if given,
+        else views of a stored C or one reused buffer."""
         n, m = self.shape[::-1] if transpose else self.shape
         views = into is None and self._stores_cost
-        for start, stop, out in self._blocks(n, 0 if views else m, into):
+        for start, stop, out in self._blocks(n, 0 if views else m, into, rows):
             yield start, stop, self._cost_rows(start, stop, transpose, out=None if views else out)
 
-    def _exponent_blocks(self, f, g, eps: float, transpose: bool = False, into=None):
+    def _exponent_blocks(self, f, g, eps: float, transpose: bool = False, into=None, rows=None):
         """Yields ``(start, stop, rows)`` over the row blocks (``_blocks``) of
         (f_i + g_j - C_ij)/eps, or of its transpose when ``transpose``."""
-        return ((start, stop, rows) for start, stop, _, rows in self._cost_exponents(f, g, eps, transpose, into))
+        blocks = self._cost_exponents(f, g, eps, transpose, into, rows)
+        return ((start, stop, exponents) for start, stop, _, exponents in blocks)
 
-    def _cost_exponents(self, f, g, eps: float, transpose: bool = False, into=None):
+    def _cost_exponents(self, f, g, eps: float, transpose: bool = False, into=None, rows=None):
         """Yields ``(start, stop, cost_rows, exponent_rows)``, the exponent
         formed as f_i + g_j, less the cost rows, over eps."""
         outer, inner = (g, f) if transpose else (f, g)
-        blocks = self._blocks(len(outer), len(inner), into)
-        for (start, stop, cost), (_, _, rows) in zip(self._cost_blocks(transpose), blocks):
-            np.add(outer[start:stop, None], inner, out=rows)
-            rows -= cost
-            rows /= eps
-            yield start, stop, cost, rows
+        blocks = self._blocks(len(outer), len(inner), into, rows)
+        for (start, stop, cost), (_, _, exponents) in zip(self._cost_blocks(transpose, rows=rows), blocks):
+            np.add(outer[start:stop, None], inner, out=exponents)
+            exponents -= cost
+            exponents /= eps
+            yield start, stop, cost, exponents
 
-    def _plan_blocks(self, f, g, eps: float, into=None):
-        """Yields ``(start, stop, plan_rows)`` of the coupling exp((f + g - C)/eps)."""
+    def _plan_blocks(self, f, g, eps: float, into=None, rows=None):
+        """Yields ``(start, stop, plan_rows)`` of the coupling exp((f + g - C)/eps),
+        given ``rows = (lo, hi)`` only its rows in [lo, hi): from the same whole
+        blocks, so the same bits, as the whole coupling's."""
         f, g = self._check_potentials(f, g)
-        return _exp(self._exponent_blocks(f, g, eps, into=into))
+        blocks = self._exponent_blocks(f, g, eps, into=into, rows=rows)
+        if rows is not None:
+            lo, hi = rows
+            blocks = (
+                (max(start, lo), min(stop, hi), block[max(start, lo) - start : min(stop, hi) - start])
+                for start, stop, block in blocks
+            )
+        return _exp(blocks)
 
     def _transport_rows(self, f, g, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """``(<C_i, P_i>, sum_j P_ij)`` over the rows i of the coupling P."""
         f, g = self._check_potentials(f, g)
-        row_cost, row_mass = np.empty(len(f)), np.empty(len(f))
-        for start, stop, cost, plan in self._cost_exponents(f, g, eps):
-            np.exp(plan, out=plan)
-            row_mass[start:stop] = plan.sum(axis=1)
-            plan *= cost
-            row_cost[start:stop] = plan.sum(axis=1)
-        return row_cost, row_mass
+        blocks = self._cost_exponents(f, g, eps)
+        return _row_sums(((start, stop, cost, np.exp(rows, out=rows)) for start, stop, cost, rows in blocks), len(f))
 
     def _gibbs(self, eps: float, old: tuple | None) -> tuple | None:
         """``(factors, c, floor)`` of the kernel exp((c - C)/eps), c the
@@ -542,7 +563,8 @@ class PointCloudGeometry(Geometry):
     squared distance (k = d + 2) of the points centered on their common
     mean, accurate far from the origin, or the cosine cost (k = d + 1).
     Either is linear in them: an exponent block is one product of factors
-    augmented with f and g, and <C, P> is read off P B.
+    augmented with f and g, and <C, P> is read off P B, or on the same
+    points off the cost rows, whose diagonal is exactly 0.
     """
 
     def __init__(
@@ -620,10 +642,10 @@ class PointCloudGeometry(Geometry):
         left, right = self._factors[::-1] if transpose else self._factors
         return self._finish(self._product_rows(left, right, start, stop, out, 0.0))
 
-    def _exponent_blocks(self, f, g, eps, transpose=False, into=None):
+    def _exponent_blocks(self, f, g, eps, transpose=False, into=None, rows=None):
         # (f_i + g_j - A_i.B_j)/eps = [-A_i, f_i, 1]/eps . [B_j, 1, g_j].
         if not self._factored:
-            return super()._exponent_blocks(f, g, eps, transpose, into)
+            return super()._exponent_blocks(f, g, eps, transpose, into, rows)
         outer, inner = (g, f) if transpose else (f, g)
         left, right = self._factors[::-1] if transpose else self._factors
         lhs = np.column_stack([-left, outer, np.ones(len(left))]) / eps
@@ -631,13 +653,18 @@ class PointCloudGeometry(Geometry):
         diagonal = (outer + inner) / eps if self._same_points else None
         return (
             (start, stop, self._product_rows(lhs, rhs, start, stop, out, diagonal))
-            for start, stop, out in self._blocks(len(left), len(right), into)
+            for start, stop, out in self._blocks(len(left), len(right), into, rows)
         )
 
     def _transport_rows(self, f, g, eps):
         # <C_i, P_i> = A_i . (P B)_i; B's first column, ones, gives P_i 1.
         if not self._factored:
             return super()._transport_rows(f, g, eps)
+        if self._same_points:
+            # There A_i . (P B)_i would round P_ii's large terms, which cancel
+            # to noise in place of C_ii = 0: the cost rows are read instead.
+            blocks = zip(self._plan_blocks(f, g, eps), self._cost_blocks())
+            return _row_sums(((start, stop, cost, plan) for (start, stop, plan), (*_, cost) in blocks), len(f))
         a, b = self._factors
         pb = np.empty(a.shape)
         for start, stop, plan in self._plan_blocks(f, g, eps):

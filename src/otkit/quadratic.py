@@ -146,10 +146,13 @@ def solve_gw(
         reported is the outer step.
     """
     outer_iters = _as_count(outer_iters, "outer_iters")
-    if outer_iters < 1:
-        raise ValueError("outer_iters must be >= 1")
-    if not (outer_threshold > 0):
-        raise ValueError("outer_threshold must be positive")
+    inner_max_iters = _as_count(inner_max_iters, "inner_max_iters")
+    for name, count in (("outer_iters", outer_iters), ("inner_max_iters", inner_max_iters)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
+    for name, threshold in (("outer_threshold", outer_threshold), ("inner_threshold", inner_threshold)):
+        if not (threshold > 0):
+            raise ValueError(f"{name} must be positive")
     if eps is not None and not (0 < eps < np.inf):
         raise ValueError(f"eps must be positive and finite, got {float(eps)}")
     if not (0 < eps_rel < np.inf):

@@ -17,6 +17,8 @@ import pytest
 
 from otkit import (
     BarycenterProblem,
+    DenseGeometry,
+    Geometry,
     GridGeometry,
     LinearProblem,
     PointCloudGeometry,
@@ -1214,6 +1216,90 @@ def test_an_interrupted_write_reaps_its_children(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         write_matrix_atomic(str(tmp_path / "m.csv"), np.arange(12.0).reshape(6, 2))
     assert_nothing_left(tmp_path, set())
+
+
+# ---- lin --coupling-out, written from the potentials ----
+
+
+def _coupling_case(tmp_path, case):
+    """``lin`` arguments for a 600 x 40 problem with zero weights on both
+    sides, on a dense cost or a cloud of cost ``case``, and the library
+    problem the CLI builds from them."""
+    rng = np.random.default_rng(11)
+    x, y = rng.random((600, 3)), rng.random((40, 3)) + 0.25
+    a, b = rng.random(600), rng.random(40)
+    a[[3, 300, 599]], b[[0, 17]] = 0.0, 0.0
+    weights = [write_csv(tmp_path / f"{name}.csv", (w / w.sum())[:, None]) for name, w in (("a", a), ("b", b))]
+    argv = ["lin", "--a", weights[0], "--b", weights[1], "--eps-rel", "0.05"]
+    if case == "dense":
+        cost = write_csv(tmp_path / "cost.csv", PointCloudGeometry(x, y).cost_matrix())
+        argv += ["--cost-matrix", cost]
+        geom = DenseGeometry(read_matrix(cost))
+    else:
+        x, y = write_csv(tmp_path / "x.csv", x), write_csv(tmp_path / "y.csv", y)
+        argv += ["--x", x, "--y", y, "--cost", case]
+        geom = PointCloudGeometry(read_matrix(x), read_matrix(y), case)
+    # The CLI's weight rule: each weight over the sum.
+    return argv, LinearProblem(geom, *(w / w.sum() for w in map(read_vector, weights)))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("case", ["dense", "sqeucl", "cosine", "eucl"])
+def test_lin_coupling_out_is_the_written_transport_matrix(tmp_path, capsys, monkeypatch, case, parts):
+    # 600 rows are blocks of 256, 256 and 88 rows. Two parts cut inside the
+    # second block (at 300) and three inside the first and second (at 200
+    # and 400); each part keeps its own rows of the whole blocks.
+    argv, prob = _coupling_case(tmp_path, case)
+    out = solve_sinkhorn(prob, 0.05 * prob.geom.mean_cost())
+    expected = tmp_path / "expected.csv"
+    one_process(monkeypatch, write_matrix_atomic, str(expected), transport_matrix(out, prob).matrix)
+    plan_calls, plan_blocks = [], Geometry._plan_blocks
+
+    def spy(geom, *args, **kwargs):
+        plan_calls.append(kwargs)
+        return plan_blocks(geom, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("transport_matrix called")
+
+    monkeypatch.setattr(Geometry, "_plan_blocks", spy)
+    monkeypatch.setattr("otkit.sinkhorn.transport_matrix", refused)
+    split_csv(monkeypatch, parts)
+    code, payload, err = run(capsys, argv + ["--coupling-out", str(tmp_path / "coupling.csv")])
+    assert code == 0 and payload["iterations"] == out.iterations, err
+    assert (tmp_path / "coupling.csv").read_bytes() == expected.read_bytes()
+    # This process made the rows of its own part, block by block, and no
+    # plan in an n x m array.
+    assert [call["rows"] for call in plan_calls if "rows" in call] == [(0, 600 // parts)]
+    assert all(call.get("into") is None for call in plan_calls)
+    assert_nothing_left(tmp_path, {p.name for p in tmp_path.iterdir() if p.suffix == ".csv"})
+
+
+def test_a_one_process_coupling_write_holds_no_more_memory_for_more_rows(tmp_path, capsys, monkeypatch):
+    from otkit import cli
+
+    extra, write = [], cli.write_rows_atomic
+
+    def measured(*args):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write(*args)
+        extra.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(cli, "write_rows_atomic", measured)
+    rng = np.random.default_rng(3)
+    y = write_csv(tmp_path / "y.csv", rng.random((1000, 2)))
+    for rows in (500, 2000):
+        x = write_csv(tmp_path / "x.csv", rng.random((rows, 2)))
+        argv = ["lin", "--x", x, "--y", y, "--eps-rel", "0.5", "--coupling-out", str(tmp_path / "p.csv")]
+        tracemalloc.start()
+        try:
+            one_process(monkeypatch, main, argv)
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    # A 2,000 x 1,000 coupling is 16 MB, 12 MB more than a 500 x 1,000 one.
+    assert extra[1] - extra[0] < 1 << 20
 
 
 @pytest.mark.parametrize("parts", [2, 3])

@@ -289,6 +289,21 @@ def test_transport_cost_and_gradient_match_the_dense_cost(cost_fn, same):
         npt.assert_allclose(grad, 2.0 * (plan.sum(axis=1)[:, None] * x - plan @ y), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cost_fn", ["sqeucl", "cosine", "eucl"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transport_cost_of_same_points_is_the_cost_times_the_plan(cost_fn, seed):
+    # At small eps the plan sits near the diagonal, where C_ii is exactly 0
+    # and A_i . B_i only rounding noise: the transport cost must be
+    # <C, P> of the geometry's own cost and plan, not that noise.
+    x = np.random.default_rng(seed).random((200, 2))
+    geom = PointCloudGeometry(x, x, cost_fn)
+    prob = LinearProblem(geom)
+    out = solve_sinkhorn(prob, 1e-3 * geom.mean_cost())
+    plan = transport_matrix(out, prob).matrix.astype(np.longdouble)
+    expected = float((geom.cost_matrix().astype(np.longdouble) * plan).sum())
+    assert abs(reg_ot_cost(out, prob).transport_cost - expected) <= 1e-14 * expected
+
+
 def test_cost_matrix_refuses_to_materialize_past_the_cap():
     geom = PointCloudGeometry(np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="entries"):

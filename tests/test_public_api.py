@@ -123,6 +123,7 @@ def count_call_args():
         ("solve_sinkhorn", "inner_iters"),
         ("solve_barycenter", "max_iters"),
         ("solve_gw", "outer_iters"),
+        ("solve_gw", "inner_max_iters"),
         ("solve_lr_sinkhorn", "max_iters"),
         ("solve_lr_sinkhorn", "inner_iters"),
         ("SoftSortSpec", "num_targets"),
@@ -136,3 +137,24 @@ def test_iteration_counts_must_be_integers(name, keyword):
         with pytest.raises(ValueError, match=f"^{keyword} must be an integer, got {value!r}$"):
             call(*args, **{keyword: value})
     call(*args, **{keyword: np.int64(3)})
+
+
+@pytest.mark.parametrize(
+    "keyword, value, message",
+    [
+        ("inner_max_iters", 0, "inner_max_iters must be >= 1"),
+        ("inner_max_iters", -3, "inner_max_iters must be >= 1"),
+        ("outer_iters", 0, "outer_iters must be >= 1"),
+        ("inner_threshold", 0.0, "inner_threshold must be positive"),
+        ("inner_threshold", float("nan"), "inner_threshold must be positive"),
+        ("outer_threshold", -1.0, "outer_threshold must be positive"),
+    ],
+)
+def test_solve_gw_names_each_refused_count_and_threshold_before_any_work(monkeypatch, keyword, value, message):
+    def no_work(*args):
+        raise AssertionError("solve_gw started work on a refused option")
+
+    monkeypatch.setattr("otkit.quadratic._SquareLoss", no_work)
+    monkeypatch.setattr("otkit.quadratic._sinkhorn_iterations", no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        otkit.solve_gw(*count_call_args()["solve_gw"], **{keyword: value})
