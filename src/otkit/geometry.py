@@ -18,29 +18,34 @@ C = A B^T; :class:`GridGeometry` contracts costs that separate over the
 axes of a grid one axis at a time, allocating nothing N x N.
 
 On dense costs and point clouds every plan, kernel and log-sum-exp comes
-from one pass, ``_exponent_blocks``: row blocks of (f_i + g_j - C_ij)/eps,
-each in one reused ``block_size x m`` buffer or in its rows of a given
-array. The base version adds f_i + g_j, then subtracts the cost rows and
-divides by eps; squared-Euclidean and cosine clouds take each block from
-one product of factors augmented with f and g. Coupling reductions
-exponentiate the blocks (``_plan_blocks``), and the log domain reduces
-each in place, so neither holds more than one block; ``_plan_blocks``
-also makes just the rows of a range, from the same whole blocks, which
-is how each part of ``otkit lin --coupling-out`` writes its own rows. A solve's kernel is
+from one pass, ``_exponent_blocks``: row blocks of
+(f_i + g_j - C_ij)/eps, each in one reused buffer or in its rows of a
+given array. A block of a pass over rows of width m has as many rows as
+fill a fixed budget of 512 KiB (``_block_rows``), a multiple of 16 and
+at least 16, unless ``block_size`` fixes them: it stays cache-sized as
+m grows, and passes of one width share one row grid. The base version
+adds f_i + g_j, then subtracts the cost rows and divides by eps;
+squared-Euclidean and cosine clouds take each block from one product of
+factors augmented with f and g. Coupling reductions exponentiate the
+blocks (``_plan_blocks``), and the log domain reduces each in place, so
+neither holds more than one block; ``_plan_blocks`` also makes just the
+rows of a range, from the same whole blocks, which is how each part of
+``otkit lin --coupling-out`` writes its own rows. A solve's kernel is
 exp((c - C)/eps), c the midrange of C, which is scanned once per
 geometry: one n x m matrix written from the blocks up to
 ``DEFAULT_DENSE_CAP`` entries, and above it the blocks again at every
 sweep, whose two products share one pass. ``transport_matrix``, the
 low-rank solver and Gromov-Wasserstein materialize n x m matrices and
-refuse above the cap. ``block_size`` is a performance knob only, except
-in a sweep's second product, which sums over row blocks and so depends
-on them up to rounding.
+refuse above the cap. The block rows are a performance choice only,
+except in a sweep's second product, which sums over row blocks and so
+depends on them up to rounding.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import operator
 
 import numpy as np
 
@@ -55,7 +60,6 @@ __all__ = [
     "GridGeometry",
     "EpsilonSchedule",
     "DEFAULT_EPSILON_SCALE",
-    "DEFAULT_BLOCK_SIZE",
     "DEFAULT_DENSE_CAP",
     "COST_FNS",
 ]
@@ -64,8 +68,9 @@ __all__ = [
 DEFAULT_EPSILON_SCALE = 0.05
 # Mean cost estimation samples at most this many pairs on point clouds.
 _MEAN_COST_SAMPLES = 1000
-# Rows per cost block in streamed kernels, reductions and kernel builds.
-DEFAULT_BLOCK_SIZE = 256
+# Bytes of one row block in streamed kernels, reductions and kernel
+# builds: blocks of about this size stay in a core's L2 cache.
+_BLOCK_BYTES = 512 * 1024
 # Refuse to materialize cost matrices larger than this many entries.
 DEFAULT_DENSE_CAP = 4_000_000
 # Largest half cost range over eps for which a Gibbs kernel is built: on
@@ -75,6 +80,15 @@ _KERNEL_EXPONENT_LIMIT = 0.5 * np.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
 
 COST_FNS = ("sqeucl", "eucl", "cosine")
+
+
+def _as_count(value, name: str) -> int:
+    """An iteration count or size as an int; numpy integers pass, and
+    anything ``operator.index`` refuses is a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _lse(x: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
@@ -154,7 +168,8 @@ class Geometry:
 
     _shape: tuple[int, int]
     _epsilon_default: float | None
-    block_size: int = DEFAULT_BLOCK_SIZE
+    # Rows per block; None sizes blocks by ``_BLOCK_BYTES`` (``_block_rows``).
+    block_size: int | None = None
     # Whether ``_cost_rows`` returns views of a stored C, and whether
     # ``_exponent_blocks`` needs no cost rows.
     _stores_cost: bool = False
@@ -236,15 +251,25 @@ class Geometry:
             checked.append(p)
         return tuple(checked)
 
+    def _block_rows(self, m: int) -> int:
+        """Rows per block of a pass over rows of width m: ``block_size`` if
+        set, else as many as fill ``_BLOCK_BYTES``, rounded down to a multiple
+        of 16 and at least 16, so BLAS makes each row's products alike in
+        every block."""
+        if self.block_size is not None:
+            return self.block_size
+        return max(16, _BLOCK_BYTES // (8 * m) // 16 * 16)
+
     def _blocks(self, n: int, m: int, into=None, rows=None):
-        """Yields ``(start, stop, out)`` over blocks of ``block_size`` rows of
-        an n x m array: rows of ``into`` if given, else of one reused buffer.
-        Given ``rows = (lo, hi)``, only the whole blocks that hold a row in
-        [lo, hi)."""
+        """Yields ``(start, stop, out)`` over blocks of ``_block_rows(m)`` rows
+        of an n x m array: rows of ``into`` if given, else of one reused
+        buffer. Given ``rows = (lo, hi)``, only the whole blocks that hold a
+        row in [lo, hi). Passes of one width share one row grid."""
+        size = self._block_rows(m)
         lo, hi = (0, n) if rows is None else rows
-        buffer = np.empty((min(self.block_size, n), m)) if into is None else None
-        for start in range(lo - lo % self.block_size, hi, self.block_size):
-            stop = min(start + self.block_size, n)
+        buffer = np.empty((min(size, n), m)) if into is None else None
+        for start in range(lo - lo % size, hi, size):
+            stop = min(start + size, n)
             yield start, stop, buffer[: stop - start] if into is None else into[start:stop]
 
     def _cost_blocks(self, transpose: bool = False, into=None, rows=None):
@@ -252,9 +277,12 @@ class Geometry:
         of C, or of C^T when ``transpose``, to read: in ``into`` if given,
         else views of a stored C or one reused buffer."""
         n, m = self.shape[::-1] if transpose else self.shape
-        views = into is None and self._stores_cost
-        for start, stop, out in self._blocks(n, 0 if views else m, into, rows):
-            yield start, stop, self._cost_rows(start, stop, transpose, out=None if views else out)
+        if into is None and self._stores_cost:
+            return self._blocks(n, m, self._cost_rows(0, n, transpose), rows)
+        return (
+            (start, stop, self._cost_rows(start, stop, transpose, out=out))
+            for start, stop, out in self._blocks(n, m, into, rows)
+        )
 
     def _exponent_blocks(self, f, g, eps: float, transpose: bool = False, into=None, rows=None):
         """Yields ``(start, stop, rows)`` over the row blocks (``_blocks``) of
@@ -557,7 +585,9 @@ class PointCloudGeometry(Geometry):
     Supported cost functions: squared Euclidean (``"sqeucl"``),
     Euclidean (``"eucl"``) and cosine (``"cosine"``, one minus the
     cosine similarity; zero vectors are rejected). Streamed passes hold
-    at most ``block_size`` rows at a time: O(block_size * max(n, m)).
+    one block of rows at a time, two for ``"eucl"``: by default about
+    512 KiB whatever n and m (16 rows at least), or ``block_size`` rows if
+    given, a positive integer.
 
     Costs come from factors A (n x k) and B (m x k) built once, A B^T the
     squared distance (k = d + 2) of the points centered on their common
@@ -573,7 +603,7 @@ class PointCloudGeometry(Geometry):
         y: np.ndarray,
         cost_fn: str = "sqeucl",
         epsilon_default: float | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
+        block_size: int | None = None,
     ):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -587,8 +617,10 @@ class PointCloudGeometry(Geometry):
             raise ValueError("points contain non-finite entries")
         if cost_fn not in COST_FNS:
             raise ValueError(f"cost_fn must be one of {COST_FNS}, got {cost_fn!r}")
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        if block_size is not None:
+            block_size = _as_count(block_size, "block_size")
+            if block_size < 1:
+                raise ValueError("block_size must be >= 1")
         if cost_fn == "cosine":
             x_norm = np.linalg.norm(x, axis=1, keepdims=True)
             y_norm = np.linalg.norm(y, axis=1, keepdims=True)
@@ -597,7 +629,7 @@ class PointCloudGeometry(Geometry):
         self.x = x
         self.y = y
         self.cost_fn = cost_fn
-        self.block_size = int(block_size)
+        self.block_size = block_size
         self._shape = (x.shape[0], y.shape[0])
         self._epsilon_default = _check_epsilon_default(epsilon_default)
         # Same point set on both sides: enforce an exactly zero diagonal,

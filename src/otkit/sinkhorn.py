@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EpsilonSchedule, Geometry, PointCloudGeometry, _KernelStep
+from .geometry import EpsilonSchedule, Geometry, PointCloudGeometry, _KernelStep, _as_count
 
 logger = logging.getLogger(__name__)
 
@@ -39,15 +38,6 @@ __all__ = [
     "grad_weights",
     "grad_points",
 ]
-
-
-def _as_count(value, name: str) -> int:
-    """An iteration count or size as an int; numpy integers pass, and
-    anything ``operator.index`` refuses is a ValueError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_weights(w: np.ndarray | None, size: int, name: str) -> np.ndarray:
@@ -153,21 +143,22 @@ def solve_sinkhorn(
     straight from them (for squared-Euclidean and cosine clouds, one
     matrix product of the cost factors per block), and above the cap the
     blocks again, in one pass per sweep, so no n x m array is held beyond
-    a dense cost itself, which is never written. On a kernel the sweeps
-    run on the scalings u = exp((f - c)/eps) and v = exp(g/eps): the two
-    products, one min and one max over them, u = a / K v and
-    v = b / K^T u. Once eps is at its target, the sweeps between two
-    checks are one call to the kernel step, whose one loop makes every
-    sweep, bitwise the same sweeps as one call each; its product step is
-    picked once per eps, two inline matrix products on the one n x m
-    kernel. The potentials f = eps log u + c and g = eps log v are
-    formed only at a check, at an eps change, at the end, and when the
-    solve leaves the kernel: when it is declined, and from the first
-    product outside float64's normal range, whose whole sweep is redone
-    from those potentials, inside a run of sweeps too. From there on the
-    sweeps run in the log domain, which reduces the same blocks one at a
-    time and so holds one ``block_size x m`` block on every backend but
-    grids, which contract per axis.
+    a dense cost itself, which is never written. A block holds about
+    512 KiB (the geometry's block rows, at least 16), whatever n and m.
+    On a kernel the sweeps run on the scalings u = exp((f - c)/eps) and
+    v = exp(g/eps): the two products, one min and one max over them,
+    u = a / K v and v = b / K^T u. Once eps is at its target, the sweeps
+    between two checks are one call to the kernel step, whose one loop
+    makes every sweep, bitwise the same sweeps as one call each; its
+    product step is picked once per eps, two inline matrix products on
+    the one n x m kernel. The potentials f = eps log u + c and
+    g = eps log v are formed only at a check, at an eps change, at the
+    end, and when the solve leaves the kernel: when it is declined, and
+    from the first product outside float64's normal range, whose whole
+    sweep is redone from those potentials, inside a run of sweeps too.
+    From there on the sweeps run in the log domain, which reduces the
+    same blocks one at a time and so holds one block on every backend
+    but grids, which contract per axis.
 
     Args:
       prob: the problem to solve.

@@ -1,8 +1,26 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from otkit import DenseGeometry, Geometry, GridGeometry, PointCloudGeometry, lowrank
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` is ``(fn(), peak)``: the result of ``fn()`` and
+    the peak of the memory tracemalloc traced while it ran, in bytes."""
+
+    def trace(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return trace
 
 
 @pytest.fixture

@@ -946,31 +946,21 @@ def test_matrix_text_is_pythons_percent_17g(tmp_path, monkeypatch, parts, name):
     assert path.read_bytes() == _percent_17g(matrix).encode()
 
 
-def test_a_one_process_write_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch):
+def test_a_one_process_write_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch, traced_peak):
     peaks = []
     for rows in (500, 2000):
         matrix = np.random.default_rng(rows).random((rows, 1000))
-        tracemalloc.start()
-        try:
-            one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "m.csv"), matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "m.csv"), matrix))
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 1 << 20
 
 
-def test_a_one_process_read_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch):
+def test_a_one_process_read_holds_no_more_memory_for_more_rows(tmp_path, monkeypatch, traced_peak):
     extra = []
     for rows in (500, 2000):
         matrix = np.random.default_rng(rows).random((rows, 1000))
         one_process(monkeypatch, write_matrix_atomic, str(tmp_path / "m.csv"), matrix)
-        tracemalloc.start()
-        try:
-            data = one_process(monkeypatch, read_matrix, str(tmp_path / "m.csv"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(lambda: one_process(monkeypatch, read_matrix, str(tmp_path / "m.csv")))
         extra.append(peak - data.nbytes)
     assert extra[1] - extra[0] < 1 << 20
 
@@ -1246,10 +1236,13 @@ def _coupling_case(tmp_path, case):
 @pytest.mark.parametrize("parts", [1, 2, 3])
 @pytest.mark.parametrize("case", ["dense", "sqeucl", "cosine", "eucl"])
 def test_lin_coupling_out_is_the_written_transport_matrix(tmp_path, capsys, monkeypatch, case, parts):
-    # 600 rows are blocks of 256, 256 and 88 rows. Two parts cut inside the
-    # second block (at 300) and three inside the first and second (at 200
-    # and 400); each part keeps its own rows of the whole blocks.
+    # A budget of 128 rows of 40 entries makes the 600 rows blocks of 128
+    # rows, the last 88. Two parts cut inside the third block (at 300) and
+    # three inside the second and fourth (at 200 and 400); each part keeps
+    # its own rows of the whole blocks.
+    monkeypatch.setattr("otkit.geometry._BLOCK_BYTES", 128 * 40 * 8)
     argv, prob = _coupling_case(tmp_path, case)
+    assert prob.geom._block_rows(40) == 128
     out = solve_sinkhorn(prob, 0.05 * prob.geom.mean_cost())
     expected = tmp_path / "expected.csv"
     one_process(monkeypatch, write_matrix_atomic, str(expected), transport_matrix(out, prob).matrix)

@@ -1,7 +1,5 @@
 """Cost-structure backends: dense, point cloud, separable grid."""
 
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +19,11 @@ from otkit import (
     solve_sinkhorn,
     transport_matrix,
 )
-from otkit.geometry import _MEAN_COST_SAMPLES
+from otkit.geometry import _BLOCK_BYTES, _MEAN_COST_SAMPLES
+
+# What a block pass holds beside its blocks: numpy's per-call iterator
+# buffers, about 130-150 KB measured, and the pass's vectors.
+PASS_ALLOWANCE = 256 * 1024
 
 
 def enumerate_grid(axes):
@@ -492,24 +494,41 @@ def test_dense_lse_kernel_rows_are_the_whole_matrix_formula_bitwise():
             npt.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
 
 
-def test_dense_lse_kernel_holds_one_block():
-    # At 2,001^2 the log domain reduces one block_size x m exponent block
-    # at a time, in its own buffer: its peak is about that block (4.1 MB),
-    # not the 32 MB cost matrix or several copies of it.
+def test_dense_lse_kernel_holds_one_block(traced_peak):
+    # At 2,001^2 the log domain reduces one exponent block of the budget's
+    # rows at a time, in its own buffer: its peak is about that block
+    # (0.5 MB), not the 32 MB cost matrix or several copies of it.
     rng = np.random.default_rng(18)
     n = 2001
     geom = DenseGeometry(rng.random((n, n)))
     f, g = rng.standard_normal(n), rng.standard_normal(n)
-    block = geom.block_size * n * 8
+    block = geom._block_rows(n) * n * 8
+    assert block <= _BLOCK_BYTES
     for axis in ("rows", "cols"):
-        tracemalloc.start()
-        try:
-            out = geom.apply_lse_kernel(f, g, 0.05, axis)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: geom.apply_lse_kernel(f, g, 0.05, axis))
         assert np.all(np.isfinite(out))
-        assert block <= peak < 1.1 * block
+        assert block <= peak < block + PASS_ALLOWANCE
+
+
+@pytest.mark.parametrize("m", [2001, 8000])
+@pytest.mark.parametrize("cost_fn", ["sqeucl", "eucl"])
+def test_a_block_pass_holds_the_byte_budget_whatever_m(traced_peak, cost_fn, m):
+    # A block has as many rows of width m as fill the budget, a multiple of
+    # 16 and at least 16: at m = 2,001 it is within the budget, at 8,000
+    # it is the 16-row floor, 1 MB, where 256 rows were 16 MB. A pass over
+    # 300 x m clouds holds one block, and two for eucl, which forms its
+    # cost rows in a block of their own; sqeucl holds its exponent factors
+    # of the m targets instead, augmented with g and a column of ones.
+    rng = np.random.default_rng(m)
+    geom = PointCloudGeometry(rng.random((300, 3)), rng.random((m, 3)), cost_fn)
+    f, g = rng.standard_normal(300), rng.standard_normal(m)
+    rows = geom._block_rows(m)
+    assert rows % 16 == 0 and (rows == 16 or rows * m * 8 <= _BLOCK_BYTES) and (rows + 16) * m * 8 > _BLOCK_BYTES
+    block = rows * m * 8
+    held = 2 * block if cost_fn == "eucl" else block + m * (geom._factors[1].shape[1] + 2) * 8
+    out, peak = traced_peak(lambda: geom.apply_lse_kernel(f, g, 0.1, "rows"))
+    assert np.all(np.isfinite(out))
+    assert block <= peak < held + PASS_ALLOWANCE
 
 
 def test_lse_kernel_rejects_nan_potentials():

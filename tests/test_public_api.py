@@ -16,7 +16,7 @@ SIGNATURES = {
     "DivergedError": "(message, iteration)",
     "Geometry": "()",
     "DenseGeometry": "(cost, epsilon_default=None)",
-    "PointCloudGeometry": "(x, y, cost_fn='sqeucl', epsilon_default=None, block_size=256)",
+    "PointCloudGeometry": "(x, y, cost_fn='sqeucl', epsilon_default=None, block_size=None)",
     "GridGeometry": "(axes, cost_matrices=None, epsilon_default=None)",
     "EpsilonSchedule": "(target, init_scale=1.0, decay=1.0)",
     "LinearProblem": "(geom, a=None, b=None)",
@@ -137,6 +137,20 @@ def test_iteration_counts_must_be_integers(name, keyword):
         with pytest.raises(ValueError, match=f"^{keyword} must be an integer, got {value!r}$"):
             call(*args, **{keyword: value})
     call(*args, **{keyword: np.int64(3)})
+
+
+def test_block_size_must_be_none_or_a_positive_integer():
+    # The iteration counts' rule: a float or a string is refused by name,
+    # not truncated or left to a TypeError.
+    x = np.linspace(0.0, 1.0, 4)[:, None]
+    for value in (2.5, 3.0, "64"):
+        with pytest.raises(ValueError, match=f"^block_size must be an integer, got {value!r}$"):
+            otkit.PointCloudGeometry(x, x, block_size=value)
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="^block_size must be >= 1$"):
+            otkit.PointCloudGeometry(x, x, block_size=value)
+    assert otkit.PointCloudGeometry(x, x, block_size=np.int64(3)).block_size == 3
+    assert otkit.PointCloudGeometry(x, x).block_size is None
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Entropic solver: pinned examples, feasibility, duality, gradients."""
 
 import functools
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -767,7 +766,7 @@ def test_stops_at_max_iters_check_the_returned_pair_unless_warming_up(monkeypatc
 
 
 @pytest.mark.parametrize("kind", ["cloud", "dense"])
-def test_streamed_solve_and_cost_never_hold_a_cost_matrix(kind, monkeypatch, lse_calls):
+def test_streamed_solve_and_cost_never_hold_a_cost_matrix(kind, monkeypatch, lse_calls, traced_peak):
     monkeypatch.setattr("otkit.geometry.DEFAULT_DENSE_CAP", 10_000)
     rng = np.random.default_rng(26)
     n, m = 600, 600
@@ -781,13 +780,12 @@ def test_streamed_solve_and_cost_never_hold_a_cost_matrix(kind, monkeypatch, lse
         original = matrix.copy()
     prob = LinearProblem(geom)
     eps = 0.1 * geom.mean_cost()
-    tracemalloc.start()
-    try:
+
+    def solve_and_cost():
         out = solve_sinkhorn(prob, eps)
-        cost = reg_ot_cost(out, prob)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return out, reg_ot_cost(out, prob)
+
+    (out, cost), peak = traced_peak(solve_and_cost)
     assert out.converged and np.isfinite(cost.transport_cost) and lse_calls == []
     assert peak < n * m * 8 / 4
     if kind == "dense":
