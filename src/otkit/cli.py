@@ -42,7 +42,7 @@ from .geometry import COST_FNS, DenseGeometry, GridGeometry, PointCloudGeometry
 from .lowrank import lr_coupling, solve_lr_sinkhorn
 from .quadratic import QuadraticProblem, solve_gw
 from .reference import exact_gw_2x2, exact_lp_uniform
-from .sinkhorn import LinearProblem, _as_weights, reg_ot_cost, solve_sinkhorn
+from .sinkhorn import LinearProblem, _as_weights, _coupling, reg_ot_cost, solve_sinkhorn
 from .tools import SoftSortSpec, _soft_sort_rank, gmm_distance
 
 logger = logging.getLogger(__name__)
@@ -158,15 +158,9 @@ def _cmd_lin(args) -> dict:
     }
     if args.verify:
         payload["verify"] = _verify_lin(geom, prob, payload["transport_cost"])
-    if args.solver == "lr" and args.coupling_out:
-        write_matrix_atomic(args.coupling_out, lr_coupling(out.factors).matrix)
-    elif args.coupling_out:
-        # Each part of the write makes its own rows of the coupling from the
-        # potentials, a block at a time: nothing n x m is allocated.
-        def plan_rows(start, stop):
-            return (rows for _, _, rows in geom._plan_blocks(out.f, out.g, out.eps, rows=(start, stop)))
-
-        write_rows_atomic(args.coupling_out, geom.shape, plan_rows)
+    if args.coupling_out:
+        coupling = lr_coupling(out.factors) if args.solver == "lr" else _coupling(out, prob)
+        write_rows_atomic(args.coupling_out, coupling.shape, coupling.blocks)
     return payload
 
 
@@ -196,12 +190,11 @@ def _cmd_quad(args) -> dict:
     }
     if args.verify:
         payload["verify"] = _verify_quad(qp, out.gw_cost)
-    plan = out.coupling.matrix
     if args.coupling_out:
-        write_matrix_atomic(args.coupling_out, plan)
+        write_rows_atomic(args.coupling_out, out.coupling.shape, out.coupling.blocks)
     if args.correspondence_out:
-        partner = plan.argmax(axis=1)
-        lines = [f"{i},{partner[i]},{float(plan[i, partner[i]])!r}" for i in range(plan.shape[0])]
+        rows = (row for *_, block in out.coupling.blocks() for row in block)
+        lines = [f"{i},{row.argmax()},{float(row.max())!r}" for i, row in enumerate(rows)]
         write_text_atomic(args.correspondence_out, "\n".join(lines) + "\n")
     return payload
 

@@ -30,8 +30,8 @@ every path, and leaves no file behind.
 
 A matrix is written from a row source (``write_rows_atomic``): a function
 of a row range that yields those rows a block at a time, so each part
-makes its own rows and the matrix need not exist whole; the CLI writes a
-Sinkhorn coupling from its potentials this way, and
+makes its own rows and the matrix need not exist whole; the CLI writes
+every coupling this way, from its ``blocks``, and
 ``write_matrix_atomic`` feeds the same writer slices of its matrix. Each
 child writes its rows' text, as bytes, to its own unnamed temp file, and
 this process appends the files to the output in row order with
@@ -389,10 +389,10 @@ def _append(handle, part) -> None:
         offset += sent
 
 
-def write_rows_atomic(path: str, shape: tuple[int, int], source: Callable[[int, int], Iterable[np.ndarray]]) -> None:
+def write_rows_atomic(path: str, shape: tuple[int, int], source: Callable[[int, int], Iterable[tuple]]) -> None:
     """Writes the CSV text of an n x m matrix, ``shape``, from a row source:
     ``source(start, stop)`` yields its rows [start, stop) in order, a block
-    of rows at a time, so the matrix need never exist whole.
+    ``(lo, hi, rows)`` at a time, so the matrix need never exist whole.
 
     The rows are split into one range per part (``_parts``); this process
     writes the first range into the temp file and forked children the
@@ -402,7 +402,7 @@ def write_rows_atomic(path: str, shape: tuple[int, int], source: Callable[[int, 
     bounds = np.linspace(0, n, _parts(n * m * _ENTRY_BYTES) + 1).astype(int)
 
     def write_range(k, file):
-        for rows in source(bounds[k], bounds[k + 1]):
+        for *_, rows in source(bounds[k], bounds[k + 1]):
             file.writelines(_format_rows(rows))
 
     def write(handle):
@@ -416,4 +416,4 @@ def write_rows_atomic(path: str, shape: tuple[int, int], source: Callable[[int, 
 
 def write_matrix_atomic(path: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    write_rows_atomic(path, matrix.shape, lambda start, stop: [matrix[start:stop]])
+    write_rows_atomic(path, matrix.shape, lambda start, stop: [(start, stop, matrix[start:stop])])

@@ -26,19 +26,17 @@ at least 16, unless ``block_size`` fixes them: it stays cache-sized as
 m grows, and passes of one width share one row grid. The base version
 adds f_i + g_j, then subtracts the cost rows and divides by eps;
 squared-Euclidean and cosine clouds take each block from one product of
-factors augmented with f and g. Coupling reductions exponentiate the
-blocks (``_plan_blocks``), and the log domain reduces each in place, so
-neither holds more than one block; ``_plan_blocks`` also makes just the
-rows of a range, from the same whole blocks, which is how each part of
-``otkit lin --coupling-out`` writes its own rows. A solve's kernel is
-exp((c - C)/eps), c the midrange of C, which is scanned once per
-geometry: one n x m matrix written from the blocks up to
-``DEFAULT_DENSE_CAP`` entries, and above it the blocks again at every
-sweep, whose two products share one pass. ``transport_matrix``, the
-low-rank solver and Gromov-Wasserstein materialize n x m matrices and
-refuse above the cap. The block rows are a performance choice only,
-except in a sweep's second product, which sums over row blocks and so
-depends on them up to rounding.
+factors augmented with f and g. A Sinkhorn coupling exponentiates the
+whole blocks that hold a row range (``_plan_blocks``) and cuts them to
+it, and the log domain reduces each block in place, so neither holds
+more than one. A solve's kernel is exp((c - C)/eps), c the midrange of
+C, which is scanned once per geometry: one n x m matrix written from the
+blocks up to ``DEFAULT_DENSE_CAP`` entries, and above it the blocks
+again at every sweep, whose two products share one pass.
+``transport_matrix`` refuses above the cap, as do the low-rank solver
+and Gromov-Wasserstein, which materialize n x m matrices. The block rows
+are a performance choice only, except in a sweep's second product, which
+sums over row blocks and so depends on them up to rounding.
 """
 
 from __future__ import annotations
@@ -301,19 +299,10 @@ class Geometry:
             exponents /= eps
             yield start, stop, cost, exponents
 
-    def _plan_blocks(self, f, g, eps: float, into=None, rows=None):
-        """Yields ``(start, stop, plan_rows)`` of the coupling exp((f + g - C)/eps),
-        given ``rows = (lo, hi)`` only its rows in [lo, hi): from the same whole
-        blocks, so the same bits, as the whole coupling's."""
-        f, g = self._check_potentials(f, g)
-        blocks = self._exponent_blocks(f, g, eps, into=into, rows=rows)
-        if rows is not None:
-            lo, hi = rows
-            blocks = (
-                (max(start, lo), min(stop, hi), block[max(start, lo) - start : min(stop, hi) - start])
-                for start, stop, block in blocks
-            )
-        return _exp(blocks)
+    def _plan_blocks(self, f, g, eps: float, rows=None):
+        """Yields ``(start, stop, plan_rows)`` over the row blocks of exp((f + g - C)/eps),
+        given ``rows`` only those that hold a row in it; the caller checks f and g."""
+        return _exp(self._exponent_blocks(f, g, eps, rows=rows))
 
     def _transport_rows(self, f, g, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """``(<C_i, P_i>, sum_j P_ij)`` over the rows i of the coupling P."""
@@ -692,6 +681,7 @@ class PointCloudGeometry(Geometry):
         # <C_i, P_i> = A_i . (P B)_i; B's first column, ones, gives P_i 1.
         if not self._factored:
             return super()._transport_rows(f, g, eps)
+        f, g = self._check_potentials(f, g)
         if self._same_points:
             # There A_i . (P B)_i would round P_ii's large terms, which cancel
             # to noise in place of C_ii = 0: the cost rows are read instead.

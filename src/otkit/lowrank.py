@@ -19,8 +19,8 @@ import logging
 import numpy as np
 
 from .errors import DivergedError
-from .geometry import DEFAULT_EPSILON_SCALE
-from .sinkhorn import Coupling, LinearProblem, _as_count, solve_sinkhorn
+from .geometry import DEFAULT_EPSILON_SCALE, Geometry
+from .sinkhorn import Coupling, LinearProblem, _as_count, _coupling, solve_sinkhorn
 
 logger = logging.getLogger(__name__)
 
@@ -79,10 +79,15 @@ class LowRankOutput:
 
 
 def lr_coupling(factors: LowRankFactors) -> Coupling:
-    """Assembles the dense coupling q diag(1/g) r^T from the factors."""
+    """The coupling q diag(1/g) r^T, streamed from the factors in row blocks."""
     if not np.all((factors.g > 0) & (factors.g < np.inf)):
         raise ValueError("inner marginal g must be positive and finite")
-    return Coupling((factors.q / factors.g[None, :]) @ factors.r.T)
+
+    def source(start, stop):
+        for lo, hi, rows in Geometry()._blocks(len(factors.q), len(factors.r), rows=(start, stop)):
+            yield lo, hi, np.matmul(factors.q[lo:hi] / factors.g, factors.r.T, out=rows)
+
+    return Coupling((len(factors.q), len(factors.r)), source)
 
 
 def _softmax_cols(z):
@@ -211,7 +216,7 @@ def _initial_factors(prob, rank, seed, cost, log_a, log_b):
         else:
             # Column j adds into column j % rank, in ascending j.
             q0 = np.zeros((n, rank))
-            for start, stop, rows in prob.geom._plan_blocks(sk.f, sk.g, sk.eps):
+            for start, stop, rows in _coupling(sk, prob).blocks():
                 for j in range(0, m, rank):
                     cols = rows[:, j : j + rank]
                     q0[start:stop, : cols.shape[1]] += cols

@@ -203,7 +203,7 @@ def solve_gw(
     if not converged:
         logger.info("gw: no convergence after %d outer iterations", outer_iters)
     return GWOutput(
-        coupling=Coupling(best_plan),
+        coupling=Coupling(best_plan.shape, lambda start, stop: [(0, len(best_plan), best_plan)]),
         gw_cost=best_cost,
         outer_iterations=len(trace) - 1,
         cost_trace=np.asarray(trace),

@@ -11,14 +11,16 @@ u = e^{(f - c)/eps} and v = e^{g/eps}, c the cost's midrange, and a sweep
 is u = a / K v, v = b / K^T u, with no exp or log; the potentials are
 formed only at a convergence check, an eps change, the end of the solve
 and a fall to the log domain, which keeps very small eps usable. The
-coupling is only materialized on demand (``transport_matrix``), while
-the cost and gradient reductions stream it in row blocks.
+coupling (``transport_matrix``) streams from the potentials in row
+blocks; only its ``matrix`` is n x m, made on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -93,15 +95,42 @@ class SinkhornOutput:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Coupling:
-    """A transport plan, stored as its dense matrix."""
+    """An n x m transport plan (``shape``) made a row block at a time: ``source(start, stop)``
+    yields ``(lo, hi, rows)``, in order, the whole blocks of a fixed row grid that hold a row
+    in [start, stop), in buffers of that pass; :meth:`blocks` cuts them to the range, so any
+    range has the whole plan's bits. ``matrix`` and both marginals take one pass each."""
 
-    matrix: np.ndarray
+    shape: tuple[int, int]
+    source: Callable[[int, int], Iterable[tuple]]
+
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Yields ``(lo, hi, rows)``, the plan's rows [lo, hi), over [start, stop)."""
+        stop = self.shape[0] if stop is None else stop
+        for lo, hi, rows in self.source(start, stop):
+            yield max(lo, start), min(hi, stop), rows[max(lo, start) - lo : min(hi, stop) - lo]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        plan = np.empty(self.shape)
+        for lo, hi, rows in self.blocks():
+            if hi - lo == len(plan):
+                return rows
+            plan[lo:hi] = rows
+        return plan
+
+    @functools.cached_property
+    def _marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        row, col = np.empty(self.shape[0]), np.zeros(self.shape[1])
+        for lo, hi, rows in self.blocks():
+            row[lo:hi] = rows.sum(axis=1)
+            col += rows.sum(axis=0)
+        return row, col
 
     def row_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+        return self._marginals[0].copy()
 
     def col_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+        return self._marginals[1].copy()
 
 
 class RegOTCost(NamedTuple):
@@ -237,13 +266,15 @@ def _sinkhorn_iterations(prob, eps, threshold, max_iters, inner_iters, g_init) -
 
 
 def transport_matrix(out: SinkhornOutput, prob: LinearProblem) -> Coupling:
-    """Materializes the coupling; refuses above ``DEFAULT_DENSE_CAP`` entries."""
-    geom = prob.geom
-    geom._check_cap(None)
-    plan = np.empty(geom.shape)
-    for _ in geom._plan_blocks(out.f, out.g, out.eps, into=plan):
-        pass
-    return Coupling(plan)
+    """The solve's coupling, from its potentials; refuses above ``DEFAULT_DENSE_CAP`` entries."""
+    prob.geom._check_cap(None)
+    return _coupling(out, prob)
+
+
+def _coupling(out: SinkhornOutput, prob: LinearProblem) -> Coupling:
+    """The coupling exp((f + g - C)/eps) of a solve, in the geometry's row blocks."""
+    f, g = prob.geom._check_potentials(out.f, out.g)
+    return Coupling(prob.geom.shape, lambda start, stop: prob.geom._plan_blocks(f, g, out.eps, rows=(start, stop)))
 
 
 def reg_ot_cost(out: SinkhornOutput, prob: LinearProblem) -> RegOTCost:
@@ -280,6 +311,6 @@ def grad_points(out: SinkhornOutput, prob: LinearProblem) -> np.ndarray:
     if not isinstance(geom, PointCloudGeometry) or geom.cost_fn != "sqeucl":
         raise ValueError("grad_points requires a PointCloudGeometry with the sqeucl cost")
     grad = np.empty_like(geom.x)
-    for start, stop, plan in geom._plan_blocks(out.f, out.g, out.eps):
+    for start, stop, plan in _coupling(out, prob).blocks():
         grad[start:stop] = 2.0 * (plan.sum(axis=1)[:, None] * geom.x[start:stop] - plan @ geom.y)
     return grad

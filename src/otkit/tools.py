@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DenseGeometry, PointCloudGeometry
-from .sinkhorn import LinearProblem, _as_count, _as_weights, solve_sinkhorn, transport_matrix
+from .sinkhorn import LinearProblem, _as_count, _as_weights, _coupling, solve_sinkhorn, transport_matrix
 
 __all__ = [
     "SoftSortSpec",
@@ -66,10 +66,10 @@ def sort_transport(
 
     Returns the n x m transport plan (uniform weights on both sides,
     squared cost in squashed units) and whether the solve converged.
-    :func:`soft_sort` and :func:`soft_rank` reduce this plan in row
-    blocks without building it. Here it is dense, so n * m must not
-    exceed ``DEFAULT_DENSE_CAP``; above it, a ``ValueError`` is raised
-    before solving.
+    :func:`soft_sort` and :func:`soft_rank` reduce its coupling's row
+    blocks without building it. Here it is the coupling's ``matrix``, so
+    n * m must not exceed ``DEFAULT_DENSE_CAP``; above it, a
+    ``ValueError`` is raised before solving.
     """
     _, prob = _sort_problem(x, spec)
     prob.geom._check_cap(None)
@@ -143,7 +143,7 @@ def _soft_sort_rank(x: np.ndarray, spec: SoftSortSpec, defaults=soft_sort.__kwde
     out = solve_sinkhorn(prob, spec.eps, **{**defaults, **solve_opts})
     n, m = prob.geom.shape
     values, ranks = np.zeros(m), np.empty(n)
-    for start, stop, plan in prob.geom._plan_blocks(out.f, out.g, out.eps):
+    for start, stop, plan in _coupling(out, prob).blocks():
         values += x[start:stop] @ plan
         ranks[start:stop] = plan @ np.arange(m, dtype=float)
     return m * values, n * ranks if m == n else None, out.converged

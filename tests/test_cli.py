@@ -1234,18 +1234,25 @@ def _coupling_case(tmp_path, case):
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
-@pytest.mark.parametrize("case", ["dense", "sqeucl", "cosine", "eucl"])
+@pytest.mark.parametrize("case", ["dense", "sqeucl", "cosine", "eucl", "lr"])
 def test_lin_coupling_out_is_the_written_transport_matrix(tmp_path, capsys, monkeypatch, case, parts):
     # A budget of 128 rows of 40 entries makes the 600 rows blocks of 128
     # rows, the last 88. Two parts cut inside the third block (at 300) and
     # three inside the second and fourth (at 200 and 400); each part keeps
-    # its own rows of the whole blocks.
+    # its own rows of the whole blocks. "lr" is the low-rank solver on the
+    # sqeucl cloud, whose coupling streams from its factors on that grid.
     monkeypatch.setattr("otkit.geometry._BLOCK_BYTES", 128 * 40 * 8)
-    argv, prob = _coupling_case(tmp_path, case)
+    argv, prob = _coupling_case(tmp_path, "sqeucl" if case == "lr" else case)
     assert prob.geom._block_rows(40) == 128
-    out = solve_sinkhorn(prob, 0.05 * prob.geom.mean_cost())
+    if case == "lr":
+        argv += ["--solver", "lr", "--rank", "2"]
+        out = solve_lr_sinkhorn(prob, 2)
+        coupling = lr_coupling(out.factors)
+    else:
+        out = solve_sinkhorn(prob, 0.05 * prob.geom.mean_cost())
+        coupling = transport_matrix(out, prob)
     expected = tmp_path / "expected.csv"
-    one_process(monkeypatch, write_matrix_atomic, str(expected), transport_matrix(out, prob).matrix)
+    one_process(monkeypatch, write_matrix_atomic, str(expected), coupling.matrix)
     plan_calls, plan_blocks = [], Geometry._plan_blocks
 
     def spy(geom, *args, **kwargs):
@@ -1262,8 +1269,8 @@ def test_lin_coupling_out_is_the_written_transport_matrix(tmp_path, capsys, monk
     assert code == 0 and payload["iterations"] == out.iterations, err
     assert (tmp_path / "coupling.csv").read_bytes() == expected.read_bytes()
     # This process made the rows of its own part, block by block, and no
-    # plan in an n x m array.
-    assert [call["rows"] for call in plan_calls if "rows" in call] == [(0, 600 // parts)]
+    # plan in an n x m array; the low-rank start reads its whole guide plan.
+    assert [call["rows"] for call in plan_calls if "rows" in call] == [(0, 600 if case == "lr" else 600 // parts)]
     assert all(call.get("into") is None for call in plan_calls)
     assert_nothing_left(tmp_path, {p.name for p in tmp_path.iterdir() if p.suffix == ".csv"})
 
@@ -1282,17 +1289,20 @@ def test_a_one_process_coupling_write_holds_no_more_memory_for_more_rows(tmp_pat
     monkeypatch.setattr(cli, "write_rows_atomic", measured)
     rng = np.random.default_rng(3)
     y = write_csv(tmp_path / "y.csv", rng.random((1000, 2)))
-    for rows in (500, 2000):
-        x = write_csv(tmp_path / "x.csv", rng.random((rows, 2)))
-        argv = ["lin", "--x", x, "--y", y, "--eps-rel", "0.5", "--coupling-out", str(tmp_path / "p.csv")]
-        tracemalloc.start()
-        try:
-            one_process(monkeypatch, main, argv)
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
+    xs = [write_csv(tmp_path / f"x{rows}.csv", rng.random((rows, 2))) for rows in (500, 2000)]
+    # The Sinkhorn coupling streams from the potentials, the low-rank one
+    # from the factors.
+    for solver in ([], ["--solver", "lr", "--rank", "2", "--threshold", "1e-2"]):
+        for x in xs:
+            argv = ["lin", "--x", x, "--y", y, "--eps-rel", "0.5", "--coupling-out", str(tmp_path / "p.csv"), *solver]
+            tracemalloc.start()
+            try:
+                one_process(monkeypatch, main, argv)
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
     # A 2,000 x 1,000 coupling is 16 MB, 12 MB more than a 500 x 1,000 one.
-    assert extra[1] - extra[0] < 1 << 20
+    assert extra[1] - extra[0] < 1 << 20 and extra[3] - extra[2] < 1 << 20, extra
 
 
 @pytest.mark.parametrize("parts", [2, 3])

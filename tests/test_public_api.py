@@ -1,7 +1,9 @@
 """The library's compatibility surface: exported names, their signatures,
 and the public methods of the geometries. Everything below it may change."""
 
+import ast
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ SIGNATURES = {
     "EpsilonSchedule": "(target, init_scale=1.0, decay=1.0)",
     "LinearProblem": "(geom, a=None, b=None)",
     "SinkhornOutput": "(f, g, errors, dual_trace, iterations, converged, eps)",
-    "Coupling": "(matrix)",
+    "Coupling": "(shape, source)",
     "RegOTCost": "(transport_cost, dual_objective)",
     "solve_sinkhorn": "(prob, eps=None, *, threshold=0.001, max_iters=2000, inner_iters=10)",
     "transport_matrix": "(out, prob)",
@@ -172,3 +174,17 @@ def test_solve_gw_names_each_refused_count_and_threshold_before_any_work(monkeyp
     monkeypatch.setattr("otkit.quadratic._sinkhorn_iterations", no_work)
     with pytest.raises(ValueError, match=f"^{message}$"):
         otkit.solve_gw(*count_call_args()["solve_gw"], **{keyword: value})
+
+
+def test_one_place_outside_the_geometries_makes_plan_blocks():
+    # Every coupling is reduced through ``Coupling``; the Sinkhorn one makes
+    # its blocks from the potentials in ``sinkhorn._coupling``.
+    package = pathlib.Path(otkit.__file__).parent
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "geometry.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_plan_blocks"
+    ]
+    assert [name for name, _ in calls] == ["sinkhorn.py"], calls

@@ -12,6 +12,7 @@ import otkit.geometry
 import otkit.quadratic
 import otkit.sinkhorn
 from otkit import (
+    Coupling,
     DenseGeometry,
     DivergedError,
     EpsilonSchedule,
@@ -259,6 +260,22 @@ def test_plan_reductions_refuse_potentials_of_another_problem():
     for reduce in (transport_matrix, reg_ot_cost, grad_points):
         with pytest.raises(ValueError, match="shape"):
             reduce(out, other)
+
+
+def test_coupling_marginals_come_from_one_pass_over_the_blocks():
+    # 300 x 2,000 sqeucl clouds stream in blocks of 32 rows.
+    rng = np.random.default_rng(4)
+    prob = LinearProblem(PointCloudGeometry(rng.random((300, 2)), rng.random((2000, 2))))
+    out = solve_sinkhorn(prob, 0.1)
+    plan, calls = transport_matrix(out, prob), []
+    counted = Coupling(plan.shape, lambda start, stop: calls.append((start, stop)) or plan.source(start, stop))
+    row, col = counted.row_marginal(), counted.col_marginal()
+    assert np.array_equal(counted.row_marginal(), row)
+    assert calls == [(0, 300)] and "matrix" not in vars(counted)
+    # Row sums read each row as the dense plan does; column sums add the
+    # blocks' sums.
+    assert np.array_equal(row, plan.matrix.sum(axis=1))
+    npt.assert_allclose(col, plan.matrix.sum(axis=0), rtol=1e-14, atol=0)
 
 
 def test_denormal_eps_diverges_with_iteration_index():

@@ -16,7 +16,7 @@ from otkit import (
     soft_sort,
     sort_transport,
 )
-from otkit.tools import _pairwise_bures
+from otkit.tools import _pairwise_bures, _sort_problem
 
 FIGURE_ARRAY = np.array([1.0, 5.0, 4.0, 8.0, 12.0])
 
@@ -134,22 +134,25 @@ def test_soft_sort_and_rank_stream_plans_above_the_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, num_targets", [(5, None), (5, 3), (300, None), (300, 40), (1000, None), (1400, None)]
+    "n, num_targets", [(5, None), (5, 3), (300, None), (300, 40), (1000, None), (1500, None)]
 )
 def test_soft_sort_and_rank_reduce_the_sort_transport_plan(n, num_targets):
     # The plan streams in blocks of as many rows as fill the byte budget at
     # its width: 300 x 300 in blocks of 208 and 92 rows, 1,000 x 1,000 of
-    # 64 (the last 40), 1,400 x 1,400 of 32 (the last 24); 300 x 40 is one
+    # 64 (the last 40), 1,500 x 1,500 of 32 (the last 28); 300 x 40 is one
     # block. Values sum over the blocks and may round differently there;
-    # ranks (one row each) may not. A threaded BLAS product of the dense
-    # plan rounds alike only if each thread's share of rows is a multiple
-    # of 4: at n = 1,500, halves of 750 rows are not.
+    # ranks (one row each) may not. The reference ranks take the dense
+    # plan's products over the same row blocks: a threaded BLAS product
+    # splits its rows across threads by their count, and rounds a row alike
+    # only when it is given the same count.
     x = np.random.default_rng(n).normal(size=n)
     spec = SoftSortSpec(num_targets=num_targets)
     plan, _ = sort_transport(x, spec)
     npt.assert_allclose(soft_sort(x, spec), plan.shape[1] * (plan.T @ x), rtol=1e-12, atol=0)
     if num_targets is None:
-        assert np.array_equal(soft_rank(x, spec), n * (plan @ np.arange(n, dtype=float)))
+        size = _sort_problem(x, spec)[1].geom._block_rows(n)
+        ranks = np.concatenate([plan[lo : lo + size] @ np.arange(n, dtype=float) for lo in range(0, n, size)])
+        assert np.array_equal(soft_rank(x, spec), n * ranks)
 
 
 @pytest.mark.parametrize("call", [soft_sort, soft_rank])
